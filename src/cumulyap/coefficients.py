@@ -16,7 +16,6 @@ rank d*d - 1 is the identifiability check.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -32,7 +31,13 @@ from .graphs import (
     topological_order,
 )
 from .lyapunov import ModelParameters, forward_map, is_stable, solve_lyapunov
-from .tensors import SymmetricTensor, canonical_index, unique_indices
+from .tensors import (
+    SymmetricTensor,
+    _position_lookup,
+    canonical_index,
+    slot_replacements,
+    unique_indices,
+)
 
 __all__ = [
     "all_edges",
@@ -86,21 +91,14 @@ def drift_coefficient_matrix(
             == lyapunov_operator_matrix(M, k) @ K.vec_unique().
     """
     d, k = kappa.d, kappa.k
-    if rows is None:
-        rows = unique_indices(d, k)
-    else:
-        rows = [canonical_index(idx) for idx in rows]
-    if columns is None:
-        columns = all_edges(d)
-    A = np.zeros((len(rows), len(columns)))
-    for rnum, idx in enumerate(rows):
-        counts = Counter(idx)
-        for cnum, (src, dst) in enumerate(columns):
-            n = counts.get(dst, 0)
-            if n:
-                slot = idx.index(dst)
-                replaced = idx[:slot] + (src,) + idx[slot + 1:]
-                A[rnum, cnum] = n * kappa[replaced]
+    row, a, j, col = slot_replacements(d, k).T
+    A = np.zeros((len(unique_indices(d, k)), d * d))
+    np.add.at(A, (row, j * d + a), kappa.values[col])
+    if rows is not None:
+        pos = _position_lookup(d, k)
+        A = A[[pos[canonical_index(idx)] for idx in rows]]
+    if columns is not None:
+        A = A[:, [src * d + dst for src, dst in columns]]
     return A
 
 
@@ -397,21 +395,26 @@ def _witness_layout(graph: DirectedGraph, r: int, polytree: DirectedGraph | None
 
 
 def _witness_entry_polys(relabeled, rows, cols, r):
-    """Matrix of exact entry polynomials for the witness system."""
+    """Matrix of exact entry polynomials for the witness system.
+
+    Entry (idx, (src, dst)) sums the polynomial of idx with one dst slot
+    replaced by src over the slots holding dst, as in drift_coefficient_matrix.
+    """
+    d = relabeled.d
+    column = {src * d + dst: c for c, (src, dst) in enumerate(cols)}
     cache: dict = {}
     entries = []
     for k, idx in rows:
-        counts = Counter(idx)
-        row = []
-        for src, dst in cols:
-            n = counts.get(dst, 0)
-            if n:
-                slot = idx.index(dst)
-                replaced = idx[:slot] + (src,) + idx[slot + 1:]
-                poly = _entry_polynomial(relabeled, replaced, r, cache)
-                row.append({deg: n * c for deg, c in poly.items()})
-            else:
-                row.append({})
+        p = _position_lookup(d, k)[canonical_index(idx)]
+        block = slot_replacements(d, k)[p * k * d : (p + 1) * k * d].tolist()
+        row = [{} for _ in cols]
+        for _, a, j, col in block:
+            c = column.get(j * d + a)
+            if c is None:
+                continue
+            poly = _entry_polynomial(relabeled, unique_indices(d, k)[col], r, cache)
+            for deg, coef in poly.items():
+                row[c][deg] = row[c].get(deg, 0) + coef
         entries.append(row)
     return entries
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .coefficients import assemble_system, off_diagonal_indices
 from .cumulants import empirical_cumulants, stacked_labels
@@ -191,22 +192,15 @@ def asymptotic_covariance(
     system = assemble_system(cumulants, row_policy="off_diagonal")
     blocks = []
     for k in orders:
-        B = lyapunov_operator_matrix(unit, k)
-        position = {idx: i for i, idx in enumerate(unique_indices(d, k))}
-        keep = [position[idx] for idx in off_diagonal_indices(d, k)]
-        blocks.append(B[keep, :])
-    q = sum(b.shape[1] for b in blocks)
-    B_full = np.zeros((sum(b.shape[0] for b in blocks), q))
-    r0, c0 = 0, 0
-    for b in blocks:
-        B_full[r0 : r0 + b.shape[0], c0 : c0 + b.shape[1]] = b
-        r0 += b.shape[0]
-        c0 += b.shape[1]
+        keep = set(off_diagonal_indices(d, k))
+        rows = [idx in keep for idx in unique_indices(d, k)]
+        blocks.append(lyapunov_operator_matrix(unit, k)[rows])
+    B = scipy.linalg.block_diag(*blocks)
     labels = stacked_labels(d, orders)
     if np.asarray(omega).shape != (len(labels), len(labels)):
         raise ValueError(
             f"omega must be {len(labels)} x {len(labels)} for orders {orders}"
         )
-    J = -moore_penrose(system.matrix, rtol) @ B_full
+    J = -singular_vector_jacobian(system.matrix, unit, rtol).pinv @ B
     cov = J @ np.asarray(omega, dtype=float) @ J.T
     return AsymptoticCovariance(matrix=cov, total=float(np.trace(cov)))

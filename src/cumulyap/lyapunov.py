@@ -5,9 +5,11 @@ For a stable drift M, the order-k steady-state cumulant tensor K solves
     sum over modes m of (K x_m M) + C_k = 0,
 
 where C_k = cum_k of the unit-rate noise increments, and x_m is the mode-m
-matrix product. Vectorized, the operator on the left is the Kronecker sum of
-k copies of M, which is invertible exactly when no k eigenvalues of M (with
-repetition) sum to zero.
+matrix product. Both K and C_k are symmetric, so the equation is solved on
+their C(d+k-1, k) unique entries: the operator on the left restricted to
+symmetric tensors is the square matrix B(M) of lyapunov_operator_matrix. Its
+eigenvalues are the sums of k-multisets of eigenvalues of M, so it is
+invertible exactly when no k eigenvalues of M (with repetition) sum to zero.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from itertools import combinations_with_replacement
 from math import factorial, prod
 
 import numpy as np
-import scipy.linalg
 
 from .graphs import DirectedGraph, enumerate_treks
-from .tensors import SymmetricTensor, kron_sum_matrix, unique_indices, vec
+from .tensors import SymmetricTensor, slot_replacements, unique_indices
 
 __all__ = [
     "SingularSystemError",
@@ -59,9 +60,11 @@ def solve_lyapunov(M: np.ndarray, noise_cumulant) -> SymmetricTensor:
     """Solve the order-k steady-state cumulant equation for K.
 
     `noise_cumulant` is the order-k noise cumulant tensor (SymmetricTensor or
-    dense array). Solves the d^k dense linear system via the Kronecker sum of
-    M, then reads off the unique entries. Memory grows like d^(2k), which is
-    fine for the intended small dimensions.
+    dense symmetric array). Solves B(M) K + C = 0 on the C(d+k-1, k) unique
+    entries, with B(M) = lyapunov_operator_matrix(M, k); that system has a
+    unique solution exactly when no k-multiset of eigenvalues of M sums to
+    zero, and SingularSystemError is raised when one comes within rounding
+    of zero.
     """
     M = np.asarray(M, dtype=float)
     d = M.shape[0]
@@ -79,10 +82,8 @@ def solve_lyapunov(M: np.ndarray, noise_cumulant) -> SymmetricTensor:
         raise SingularSystemError(
             f"{k} eigenvalues of the drift sum to zero; order-{k} equation is singular"
         )
-    L = kron_sum_matrix(M, k)
-    x = np.linalg.solve(L, -vec(C.to_dense()))
-    dense = x.reshape((d,) * k, order="F")
-    return SymmetricTensor.from_dense(dense, symmetrize=True)
+    B = lyapunov_operator_matrix(M, k)
+    return SymmetricTensor(d, k, np.linalg.solve(B, -C.values))
 
 
 @dataclass
@@ -139,15 +140,10 @@ def lyapunov_operator_matrix(M: np.ndarray, k: int) -> np.ndarray:
     """
     M = np.asarray(M, dtype=float)
     d = M.shape[0]
-    rows = unique_indices(d, k)
-    pos = {idx: n for n, idx in enumerate(rows)}
-    B = np.zeros((len(rows), len(rows)))
-    for rnum, idx in enumerate(rows):
-        for slot in range(k):
-            for j in range(d):
-                col = list(idx)
-                col[slot] = j
-                B[rnum, pos[tuple(sorted(col))]] += M[idx[slot], j]
+    row, a, j, col = slot_replacements(d, k).T
+    n = len(unique_indices(d, k))
+    B = np.zeros((n, n))
+    np.add.at(B, (row, col), M[a, j])
     return B
 
 
@@ -187,25 +183,3 @@ def trek_closed_form(graph: DirectedGraph, k: int, r: int, zeta: float) -> Symme
             )
         result[idx] = total
     return result
-
-
-def _integral_cumulant(M: np.ndarray, C: np.ndarray, t_max: float, n_nodes: int = 400):
-    """Quadrature evaluation of the matrix-exponential integral form.
-
-    Slow reference used in tests; integrates the k-fold mode product of C
-    with exp(M t) over [0, t_max] with the trapezoid rule on a fine grid.
-    """
-    from .tensors import n_mode_product
-
-    M = np.asarray(M, dtype=float)
-    C = np.asarray(C, dtype=float)
-    k = C.ndim
-    ts = np.linspace(0.0, t_max, n_nodes)
-    values = []
-    for t in ts:
-        E = scipy.linalg.expm(M * t)
-        T = C
-        for mode in range(k):
-            T = n_mode_product(T, E, mode)
-        values.append(T)
-    return np.trapezoid(np.stack(values), ts, axis=0)

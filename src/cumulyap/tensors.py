@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,9 +23,8 @@ __all__ = [
     "unique_indices",
     "canonical_index",
     "multiplicity",
+    "slot_replacements",
     "n_mode_product",
-    "kron_sum_matrix",
-    "vec",
     "SymmetricTensor",
 ]
 
@@ -63,6 +62,31 @@ def _position_lookup(d: int, k: int) -> dict[tuple[int, ...], int]:
     return {idx: p for p, idx in enumerate(unique_indices(d, k))}
 
 
+@lru_cache(maxsize=None)
+def slot_replacements(d: int, k: int) -> np.ndarray:
+    """Every way to replace one slot of a canonical index, as an integer table.
+
+    One row (row, a, j, col) per canonical index number `row`, slot and
+    replacement coordinate j, in that order (so canonical index p owns rows
+    p*k*d to (p+1)*k*d): a is the coordinate the slot held and `col` the
+    canonical number of the index with that slot set to j. The order-k
+    cumulant operator and the drift coefficient matrix are both scatters
+    over this table. Read-only, since every caller shares it.
+    """
+    pos = _position_lookup(d, k)
+    table = np.array(
+        [
+            (row, a, j, pos[tuple(sorted(idx[:slot] + idx[slot + 1:] + (j,)))])
+            for row, idx in enumerate(unique_indices(d, k))
+            for slot, a in enumerate(idx)
+            for j in range(d)
+        ],
+        dtype=np.intp,
+    )
+    table.flags.writeable = False
+    return table
+
+
 def n_mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarray:
     """Contract `mode` of a dense tensor with the columns of a matrix.
 
@@ -75,33 +99,6 @@ def n_mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndar
         raise ValueError(f"mode {mode} out of range for order-{tensor.ndim} tensor")
     out = np.tensordot(matrix, tensor, axes=(1, mode))
     return np.moveaxis(out, 0, mode)
-
-
-def vec(tensor: np.ndarray) -> np.ndarray:
-    """Flatten a dense tensor with the first index varying fastest."""
-    return np.asarray(tensor).reshape(-1, order="F")
-
-
-def kron_sum_matrix(M: np.ndarray, k: int) -> np.ndarray:
-    """Matrix of T -> sum_n T x_n M on the d^k vectorisation used by `vec`.
-
-    Built as sum over modes of I x ... x M x ... x I with M in the slot acting
-    on that mode. Dense: d^k by d^k, fine for the small dimensions this package
-    targets (d <= 12 with k <= 3, d <= 4 with k = 4).
-    """
-    M = np.asarray(M, dtype=float)
-    d = M.shape[0]
-    if M.shape != (d, d):
-        raise ValueError("M must be square")
-    eye = np.eye(d)
-    total = np.zeros((d**k, d**k))
-    for mode in range(k):
-        # vec() puts axis 0 innermost, so the factor acting on axis `mode`
-        # sits at position k-1-mode of the Kronecker product.
-        factors = [eye] * k
-        factors[k - 1 - mode] = M
-        total += reduce(np.kron, factors)
-    return total
 
 
 class SymmetricTensor:

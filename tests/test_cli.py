@@ -149,3 +149,11 @@ def test_no_subcommand_exits_with_usage():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_study_quick_runs_at_d5(tmp_path):
+    # needs the order-6 cumulants of a 5-dimensional model
+    out_dir = tmp_path / "study5"
+    assert main(["study", "--d", "5", "--quick", "--out-dir", str(out_dir)]) == 0
+    report = json.loads((out_dir / "study.json").read_text())
+    assert report["total_asymptotic_variance"] > 0

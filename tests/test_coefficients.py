@@ -23,7 +23,8 @@ from cumulyap.coefficients import (
 )
 from cumulyap.graphs import DirectedGraph
 from cumulyap.lyapunov import forward_map, solve_lyapunov, special_drift_matrix
-from cumulyap.tensors import SymmetricTensor, unique_indices, vec
+from cumulyap.tensors import SymmetricTensor, n_mode_product, unique_indices
+from oracles import coefficient_matrix_loop, dense, vec
 
 TWO_CHAIN = DirectedGraph(2, [(0, 0), (1, 1), (0, 1)])
 
@@ -89,6 +90,30 @@ def test_dual_route_identity(d, k):
     lhs = drift_coefficient_matrix(K) @ vec(M)
     rhs = lyapunov_operator_matrix(M, k) @ K.vec_unique()
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("d,k", [(1, 3), (2, 2), (2, 5), (3, 3), (4, 2), (4, 4)])
+def test_coefficient_matrix_matches_mode_products(d, k):
+    # A_k(K) vec(M) is the mode-product sum of K with M, read at canonical indices
+    rng = np.random.default_rng(23)
+    M = rng.normal(size=(d, d))
+    K = SymmetricTensor(d, k, rng.normal(size=len(unique_indices(d, k))))
+    image = sum(n_mode_product(dense(K), M, mode) for mode in range(k))
+    expected = np.array([image[idx] for idx in unique_indices(d, k)])
+    lhs = drift_coefficient_matrix(K) @ vec(M)
+    assert np.allclose(lhs, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
+
+
+def test_coefficient_matrix_matches_loop():
+    rng = np.random.default_rng(24)
+    K = SymmetricTensor(3, 3, rng.normal(size=len(unique_indices(3, 3))))
+    rows = [(2, 0, 1), (1, 1, 1), (0, 2, 2), (2, 0, 1)]
+    columns = [(2, 1), (0, 0), (1, 2), (2, 2), (1, 0)]
+    expected = coefficient_matrix_loop(K, [tuple(sorted(r)) for r in rows], columns)
+    got = drift_coefficient_matrix(K, rows=rows, columns=columns)
+    assert np.allclose(got, expected, rtol=1e-15, atol=0.0)
+    full = coefficient_matrix_loop(K, unique_indices(3, 3), all_edges(3))
+    assert np.allclose(drift_coefficient_matrix(K), full, rtol=1e-15, atol=0.0)
 
 
 def test_assemble_system_full_rows_satisfy_balance():

@@ -6,7 +6,6 @@ from cumulyap.graphs import DirectedGraph
 from cumulyap.lyapunov import (
     ModelParameters,
     SingularSystemError,
-    _integral_cumulant,
     eigenvalue_sum_margin,
     forward_map,
     is_stable,
@@ -15,7 +14,11 @@ from cumulyap.lyapunov import (
     special_drift_matrix,
     trek_closed_form,
 )
-from cumulyap.tensors import SymmetricTensor, n_mode_product
+from cumulyap.tensors import SymmetricTensor, n_mode_product, unique_indices
+from oracles import dense, integral_cumulant, kron_sum_matrix, operator_matrix_loop, vec
+
+# Every (d, k) whose dense Kronecker system has at most 4096 unknowns.
+DENSE_CASES = [(d, k) for d in range(2, 65) for k in range(2, 13) if d**k <= 4096]
 
 
 def random_stable(rng, d):
@@ -61,7 +64,7 @@ def test_solve_lyapunov_order3_matches_quadrature():
         assert K[idx] == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
     # the coarse trapezoid reference agrees at its own accuracy
-    coarse = _integral_cumulant(M, dense_C, horizon, n_nodes=4000)
+    coarse = integral_cumulant(M, dense_C, horizon, n_nodes=4000)
     assert np.allclose(K.to_dense(), coarse, rtol=1e-4, atol=1e-5)
 
 
@@ -85,6 +88,44 @@ def test_solve_lyapunov_singular_system():
         solve_lyapunov(M, SymmetricTensor.identity(3, 3))
     # but the same drift is fine at order 2
     solve_lyapunov(M, np.eye(3))
+    # 1 + 1 - 2 = 0 needs a repeated eigenvalue: singular at order 3 only
+    M = np.diag([1.0, -2.0])
+    solve_lyapunov(M, np.eye(2))
+    with pytest.raises(SingularSystemError):
+        solve_lyapunov(M, SymmetricTensor.identity(2, 3))
+    # eigenvalues +-i: i - i = 0 at order 2, but no 3-multiset sums to zero
+    rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    with pytest.raises(SingularSystemError):
+        forward_map(ModelParameters(rotation, {2: np.eye(2)}))
+    C = SymmetricTensor.identity(2, 3)
+    K = solve_lyapunov(rotation, C)
+    resid = lyapunov_operator_matrix(rotation, 3) @ K.values + C.values
+    assert np.max(np.abs(resid)) < 1e-12
+
+
+@pytest.mark.slow
+def test_solve_lyapunov_matches_kronecker_oracle():
+    rng = np.random.default_rng(30)
+    for d, k in DENSE_CASES:
+        M = random_stable(rng, d)
+        C = SymmetricTensor(d, k, rng.normal(size=len(unique_indices(d, k))))
+        K = solve_lyapunov(M, C)
+        x = np.linalg.solve(kron_sum_matrix(M, k), -vec(dense(C)))
+        x = x.reshape((d,) * k, order="F")
+        expected = np.array([x[idx] for idx in unique_indices(d, k)])
+        err = np.max(np.abs(K.values - expected)) / np.max(np.abs(expected))
+        assert err < 1e-12, (d, k, err)
+
+
+def test_solve_lyapunov_d5_order6_residual():
+    # the dense Kronecker system here would be 15625 x 15625 (1.95 GB)
+    rng = np.random.default_rng(31)
+    d, k = 5, 6
+    M = random_stable(rng, d)
+    C = SymmetricTensor(d, k, rng.normal(size=len(unique_indices(d, k))))
+    K = dense(solve_lyapunov(M, C))
+    residual = sum(n_mode_product(K, M, mode) for mode in range(k)) + dense(C)
+    assert np.linalg.norm(residual) < 1e-10 * np.linalg.norm(dense(C))
 
 
 def test_eigenvalue_sum_margin():
@@ -98,6 +139,8 @@ def test_solve_lyapunov_input_validation():
         solve_lyapunov(np.ones((2, 3)), np.eye(2))
     with pytest.raises(ValueError):
         solve_lyapunov(-np.eye(3), np.eye(2))
+    with pytest.raises(ValueError):  # asymmetric dense noise
+        solve_lyapunov(-np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def test_lyapunov_operator_matrix_d2_example():
@@ -122,6 +165,13 @@ def test_lyapunov_operator_matrix_matches_mode_products():
         lhs = lyapunov_operator_matrix(M, k) @ K.vec_unique()
         rhs = SymmetricTensor.from_dense(image, symmetrize=True).vec_unique()
         assert np.allclose(lhs, rhs)
+
+
+def test_lyapunov_operator_matrix_equals_loop():
+    rng = np.random.default_rng(8)
+    for d, k in [(1, 3), (2, 5), (3, 3), (4, 4), (6, 2)]:
+        M = rng.normal(size=(d, d))
+        assert np.array_equal(lyapunov_operator_matrix(M, k), operator_matrix_loop(M, k))
 
 
 def test_solver_and_operator_agree():

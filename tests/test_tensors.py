@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from cumulyap.tensors import (
     SymmetricTensor,
     canonical_index,
-    kron_sum_matrix,
     multiplicity,
     n_mode_product,
+    slot_replacements,
     unique_indices,
-    vec,
 )
+from oracles import kron_sum_matrix, vec
 
 
 def test_unique_indices_enumeration():
@@ -50,6 +50,21 @@ def test_multiplicity_counts_permutations():
 def test_multiplicities_cover_dense_tensor():
     d, k = 3, 4
     assert sum(multiplicity(i) for i in unique_indices(d, k)) == d**k
+
+
+def test_slot_replacements_table():
+    for d, k in [(1, 2), (2, 3), (3, 4), (5, 2)]:
+        table = slot_replacements(d, k)
+        rows = unique_indices(d, k)
+        assert table.shape == (len(rows) * k * d, 4)
+        assert not table.flags.writeable
+        expected = [
+            (p, a, j, rows.index(tuple(sorted(idx[:slot] + (j,) + idx[slot + 1:]))))
+            for p, idx in enumerate(rows)
+            for slot, a in enumerate(idx)
+            for j in range(d)
+        ]
+        assert table.tolist() == [list(t) for t in expected]
 
 
 def test_n_mode_product_matches_einsum():
