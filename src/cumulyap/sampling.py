@@ -3,8 +3,11 @@ noise, plus the benchmark drift family used by the simulation study.
 
 A stationary draw is the sum of exp(s M) applied to the jumps of an
 independent copy of the noise over s in (0, infinity); truncating where the
-matrix exponential is negligible and batching the jump arithmetic through an
-eigendecomposition of M gives i.i.d. draws without time discretization.
+matrix exponential is negligible gives i.i.d. draws without time
+discretization. The jumps are mapped through an eigendecomposition of M in
+real arithmetic: one exponential per real eigenvalue and one per conjugate
+pair (the partner's term is its complex conjugate), real columns summed per
+draw with `np.bincount`, and one real product back to the state.
 """
 
 from __future__ import annotations
@@ -190,13 +193,24 @@ def sample_steady_state(
 
     Each draw accumulates exp(s M) e_c J over the jumps (s, c, J) of a
     Poisson stream on (0, T), with T chosen so the discarded tail of the
-    matrix exponential is below truncation_tol. The same seed and n always
-    reproduce the same array bit for bit.
+    matrix exponential is below truncation_tol. With M = Q diag(delta) Q^-1,
+    exp(s M) e_c = sum_l Q[:, l] exp(s delta_l) Q^-1[l, c]. A real eigenvalue
+    contributes one real exponential; a conjugate pair contributes
+    2 Re(Q[:, l] z_l) from the exponential of its member with positive
+    imaginary part alone. The real and imaginary parts of these weighted
+    exponentials are summed per draw with `np.bincount` and mapped back to
+    the state by one real product. Draws are made in chunks of CHUNK_DRAWS,
+    each from its own stream spawned from `seed`, so the same seed and n
+    always reproduce the same array bit for bit.
     """
     M = np.asarray(M, dtype=float)
     d = M.shape[0]
     if levy.d != d:
         raise ValueError("noise dimension does not match the drift")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    if not 0.0 < truncation_tol < 1.0:
+        raise ValueError(f"truncation_tol must lie in (0, 1), got {truncation_tol!r}")
     if not is_stable(M):
         raise ValueError("drift must be stable to have a stationary law")
     delta, Q = np.linalg.eig(M)
@@ -208,6 +222,13 @@ def sample_steady_state(
     horizon = np.log(truncation_tol) / np.max(delta.real)
     total_rate = float(levy.rates.sum())
     coord_probs = levy.rates / total_rate
+    real, upper = delta.imag == 0, delta.imag > 0
+    real_rates, real_left = delta[real].real, Qinv[real].real
+    pair_rates, pair_left = delta[upper], Qinv[upper]
+    # rows: one per real eigenvalue, then Re and Im of each pair's sum
+    basis = np.vstack(
+        [Q[:, real].real.T, 2.0 * Q[:, upper].real.T, -2.0 * Q[:, upper].imag.T]
+    )
 
     out = np.empty((n, d))
     starts = list(range(0, n, CHUNK_DRAWS))
@@ -221,10 +242,12 @@ def sample_steady_state(
         times = rng.uniform(0.0, horizon, total)
         coords = rng.choice(d, size=total, p=coord_probs)
         sizes = levy.jumps.sample(rng, total)
-        # exp(s M) e_c J = Q (exp(s delta) * Qinv[:, c]) J, summed per draw
-        weights = np.exp(np.outer(times, delta)) * Qinv[:, coords].T
-        weights *= sizes[:, None]
-        accum = np.zeros((m, d), dtype=weights.dtype)
-        np.add.at(accum, np.repeat(np.arange(m), counts), weights)
-        out[start : start + m] = (accum @ Q.T).real
+        real_terms = np.exp(np.outer(real_rates, times)) * real_left[:, coords] * sizes
+        pair_terms = np.exp(np.outer(pair_rates, times)) * pair_left[:, coords] * sizes
+        draw = np.repeat(np.arange(m), counts)
+        sums = [
+            np.bincount(draw, column, minlength=m)
+            for column in (*real_terms, *pair_terms.real, *pair_terms.imag)
+        ]
+        out[start : start + m] = np.column_stack(sums) @ basis
     return out

@@ -3,8 +3,9 @@
 Nothing here is used by the package itself: the dense Kronecker-sum form of
 the cumulant operator, the first-index-fastest vectorisation it acts on, a
 dense expansion of a symmetric tensor, a quadrature of the
-matrix-exponential integral form of the solution, and the loop versions of
-the two unique-entry operators.
+matrix-exponential integral form of the solution, the loop versions of
+the two unique-entry operators, and the steady-state sampler's former
+complex-arithmetic kernel together with a replay of its random draws.
 """
 
 from collections import Counter
@@ -13,6 +14,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
+from cumulyap.sampling import CHUNK_DRAWS, TRUNCATION_TOL
 from cumulyap.tensors import n_mode_product, unique_indices
 
 
@@ -99,3 +101,47 @@ def coefficient_matrix_loop(kappa, rows, columns) -> np.ndarray:
                 replaced = idx[:slot] + (src,) + idx[slot + 1:]
                 A[rnum, cnum] = n * kappa[replaced]
     return A
+
+
+def steady_state_jumps(M, levy, n: int, seed=None):
+    """Replay of sample_steady_state's random draws, one tuple per chunk.
+
+    Yields (start, counts, times, coords, sizes): the chunk's first draw, the
+    number of jumps in each of its draws, then the time, coordinate and size
+    of every jump, drawn in the sampler's order from its per-chunk streams.
+    """
+    delta = np.linalg.eig(np.asarray(M, dtype=float))[0]
+    horizon = np.log(TRUNCATION_TOL) / np.max(delta.real)
+    total_rate = float(levy.rates.sum())
+    starts = range(0, n, CHUNK_DRAWS)
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    for start, stream in zip(starts, root.spawn(len(starts))):
+        rng = np.random.default_rng(stream)
+        counts = rng.poisson(total_rate * horizon, size=min(CHUNK_DRAWS, n - start))
+        total = int(counts.sum())
+        times = rng.uniform(0.0, horizon, total)
+        coords = rng.choice(levy.d, size=total, p=levy.rates / total_rate)
+        sizes = levy.jumps.sample(rng, total)
+        yield start, counts, times, coords, sizes
+
+
+def complex_eigen_sampler(M, levy, n: int, seed=None):
+    """sample_steady_state with the kernel it had before its real rewrite.
+
+    Same eigendecomposition, horizon and random draws; every eigenvalue's
+    weight exp(s delta_l) Q^-1[l, c] J is formed in complex arithmetic and
+    accumulated per draw with np.add.at, and the real part of the mapped sum
+    is kept.
+    """
+    M = np.asarray(M, dtype=float)
+    delta, Q = np.linalg.eig(M)
+    Qinv = np.linalg.inv(Q)
+    out = np.empty((n, M.shape[0]))
+    for start, counts, times, coords, sizes in steady_state_jumps(M, levy, n, seed):
+        m = counts.size
+        weights = np.exp(np.outer(times, delta)) * Qinv[:, coords].T
+        weights *= sizes[:, None]
+        accum = np.zeros((m, M.shape[0]), dtype=weights.dtype)
+        np.add.at(accum, np.repeat(np.arange(m), counts), weights)
+        out[start : start + m] = (accum @ Q.T).real
+    return out

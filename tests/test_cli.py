@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cumulyap.cli import main
+from cumulyap.cli import _read_samples, main
 
 
 def test_simulate_writes_deterministic_csv(tmp_path):
@@ -29,6 +29,15 @@ def test_simulate_accepts_drift_file(tmp_path):
     )
     assert code == 0
     assert np.loadtxt(out, delimiter=",", skiprows=1).shape == (20, 2)
+
+
+def test_read_samples_header_detection(tmp_path):
+    X = np.random.default_rng(8).normal(size=(5, 3))
+    bare, headed = tmp_path / "bare.csv", tmp_path / "headed.csv"
+    np.savetxt(bare, X, delimiter=",")  # "%.18e": a letter in every number
+    np.savetxt(headed, X, delimiter=",", header="x1,x2,x3", comments="")
+    assert np.array_equal(_read_samples(bare), X)
+    assert np.array_equal(_read_samples(headed), X)
 
 
 def test_estimate_schema(tmp_path):
@@ -127,8 +136,9 @@ def test_study_quick_outputs(tmp_path):
     assert len(report["rows"]) == 2
     assert report["total_asymptotic_variance"] > 0
     for row in report["rows"]:
-        for key in ("n", "scaled_rmse", "scaled_bias", "rmse_ratio", "stable_fraction"):
+        for key in ("n", "scaled_rmse", "scaled_bias", "rmse_ratio", "stable_fraction", "seconds"):
             assert key in row
+        assert row["seconds"] > 0
 
 
 def test_missing_samples_file_fails_cleanly(tmp_path, capsys):

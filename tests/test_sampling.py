@@ -4,6 +4,7 @@ import scipy.stats
 
 from cumulyap.lyapunov import is_stable, solve_lyapunov
 from cumulyap.sampling import (
+    CHUNK_DRAWS,
     BetaJumps,
     ConstantJumps,
     LevySpec,
@@ -15,6 +16,7 @@ from cumulyap.sampling import (
     two_point_jumps,
 )
 from cumulyap.tensors import SymmetricTensor
+from oracles import complex_eigen_sampler, steady_state_jumps
 
 
 def two_point_moment(law, k):
@@ -170,3 +172,69 @@ def test_sampler_accepts_seed_sequence():
     X1 = sample_steady_state(M, levy, 100, seed=root)
     X2 = sample_steady_state(M, levy, 100, seed=np.random.SeedSequence(44))
     assert np.array_equal(X1, X2)
+
+
+STUDY_LEVY_3 = LevySpec(np.full(3, 0.5), BetaJumps(0.8, 1.0))
+
+# (drift, noise, n); the study drifts have one real eigenvalue plus one
+# conjugate pair (d = 3) or two pairs (d = 5), the d = 4 drift only pairs.
+ORACLE_CASES = {
+    "study-d3-one-pair": (study_drift_matrix(3, 10.0, 0.2), STUDY_LEVY_3, 3000),
+    "study-d5-two-pairs": (
+        study_drift_matrix(5, 10.0, 0.2),
+        LevySpec(np.full(5, 0.5), BetaJumps(0.8, 1.0)),
+        3000,
+    ),
+    "upper-triangular-real": (
+        np.array([[-1.0, 0.5, 0.2], [0.0, -2.0, 0.3], [0.0, 0.0, -3.5]]),
+        LevySpec(np.array([0.5, 1.0, 0.7]), BetaJumps(0.8, 1.0)),
+        3000,
+    ),
+    "two-chunks": (study_drift_matrix(3, 10.0, 0.2), STUDY_LEVY_3, CHUNK_DRAWS + 1),
+    "constant-jumps-zero-rate": (
+        study_drift_matrix(3, 10.0, 0.2),
+        LevySpec(np.array([0.5, 0.0, 1.0]), ConstantJumps(1.5)),
+        3000,
+    ),
+    "two-point-jumps-zero-rate": (
+        study_drift_matrix(4, 3.0, 0.4),
+        LevySpec(np.array([0.0, 0.5, 1.0, 0.3]), two_point_jumps(1.0, 0.3, 3)),
+        3000,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_sampler_matches_complex_kernel_draw_for_draw(case):
+    M, levy, n = ORACLE_CASES[case]
+    X = sample_steady_state(M, levy, n, seed=45)
+    ref = complex_eigen_sampler(M, levy, n, seed=45)
+    assert X.shape == ref.shape == (n, M.shape[0])
+    scale = np.max(np.abs(ref), axis=1)
+    assert np.all(scale > 0)
+    # each draw within 1e-12 of its own size: the kernels differ only in rounding
+    assert np.all(np.max(np.abs(X - ref), axis=1) <= 1e-12 * scale)
+
+
+def test_sampler_draw_without_jumps_is_exact_zero():
+    M = study_drift_matrix(3, 10.0, 0.2)
+    levy = LevySpec(np.array([0.01, 0.0, 0.02]), BetaJumps(0.8, 1.0))
+    n = 2000
+    X = sample_steady_state(M, levy, n, seed=46)
+    counts = np.concatenate([c for _, c, *_ in steady_state_jumps(M, levy, n, seed=46)])
+    assert 0 < np.sum(counts == 0) < n
+    assert np.all(X[counts == 0] == 0.0)
+    assert np.all(np.any(X[counts > 0] != 0.0, axis=1))
+
+
+def test_sampler_rejects_bad_size_and_tolerance():
+    M = study_drift_matrix(2, 4.0, 0.3)
+    levy = LevySpec(np.array([0.5, 0.5]), ConstantJumps(1.0))
+    for n in (-1, 2.0, 2.5, True, "10"):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            sample_steady_state(M, levy, n, seed=0)
+    for tol in (0.0, 1.0, 1.5, -1e-12, float("nan")):
+        with pytest.raises(ValueError, match="truncation_tol"):
+            sample_steady_state(M, levy, 10, seed=0, truncation_tol=tol)
+    assert sample_steady_state(M, levy, 0, seed=0).shape == (0, 2)
+    assert sample_steady_state(M, levy, np.int64(3), seed=0).shape == (3, 2)
