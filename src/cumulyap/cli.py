@@ -331,6 +331,7 @@ def _cmd_identifiability(args) -> int:
             ),
             "expected_lowest_degree": witness.expected_lowest_degree,
             "expected_lowest_magnitude": str(witness.expected_lowest_magnitude),
+            "lowest_term_matches": witness.lowest_term_matches,
             "relabeling": [i + 1 for i in witness.relabeling],
             "generically_identifiable": witness.generically_identifiable,
             "verdict": (

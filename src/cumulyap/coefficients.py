@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 import numpy as np
 
@@ -366,6 +366,8 @@ def _entry_polynomial(
 
 def _witness_layout(graph: DirectedGraph, r: int, polytree: DirectedGraph | None):
     """Topologically relabeled polytree plus witness row/column labels."""
+    if int(r) < 3:
+        raise ValueError("need noise order r >= 3")
     if not graph.has_all_self_loops():
         raise ValueError("the polytree witness needs all self-loops")
     if polytree is None:
@@ -435,50 +437,85 @@ def witness_matrix(
             [sum(float(c) * zeta**deg for deg, c in poly.items()) for poly in row]
             for row in entries
         ]
-    )
+    ).reshape(len(rows), len(cols))
     return CoefficientSystem(matrix, rows, cols)
 
 
-def _fraction_det(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free style elimination with pivoting."""
-    n = len(matrix)
+def _bareiss_det(matrix: list[list[int]]) -> int:
+    """Exact integer determinant by Bareiss elimination with row pivoting.
+
+    Every division is exact, since each updated entry is a minor of the
+    input (Sylvester's identity). The empty matrix has determinant 1.
+    """
     A = [row[:] for row in matrix]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k] != 0:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
+    n = len(A)
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if A[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            A[k], A[pivot] = A[pivot], A[k]
+            sign = -sign
+        top, akk = A[k], A[k][k]
+        for row in A[k + 1 :]:
+            aik = row[k]
             for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) / prev
-            A[i][k] = Fraction(0)
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
+                row[j] = (row[j] * akk - aik * top[j]) // prev
+        prev = akk
+    return sign * prev
 
 
-def _interpolate_fractions(xs, ys) -> list[Fraction]:
-    """Monomial coefficients of the polynomial through the given points."""
-    n = len(xs)
-    newton = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            newton[i] = (newton[i] - newton[i - 1]) / (xs[i] - xs[i - j])
-    poly = [Fraction(0)] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        shifted = [Fraction(0)] * (n + 1)
-        for p in range(n):
-            if poly[p]:
-                shifted[p + 1] += poly[p]
-                shifted[p] -= poly[p] * xs[i]
-        shifted[0] += newton[i]
-        poly = shifted
-    return poly[:n]
+def _polynomial_det(entries) -> dict[int, Fraction]:
+    """Exact determinant of a square matrix of rational polynomials in zeta.
+
+    Each row is scaled by the LCM of its denominators, so every entry is an
+    integer polynomial, and the lowest power of zeta is factored out of each
+    row and then each column. No coefficient of the remaining determinant
+    exceeds bound = prod over rows of the summed l1 norms of the row's
+    entries (|pq|_1 <= |p|_1 |q|_1, and a determinant coefficient is at most
+    the permanent's), so evaluating every entry at zeta = 2^B with
+    2^B > 4 bound and taking one integer Bareiss determinant packs the
+    coefficients as signed base-2^B digits. Returns degree -> coefficient,
+    zero coefficients omitted; the zero polynomial is the empty dict.
+    """
+    scale, shift = 1, 0
+    rows = []
+    for row in entries:
+        m = lcm(*(c.denominator for poly in row for c in poly.values()))
+        low = min((deg for poly in row for deg in poly), default=0)
+        rows.append(
+            [
+                {deg - low: c.numerator * (m // c.denominator) for deg, c in poly.items()}
+                for poly in row
+            ]
+        )
+        scale *= m
+        shift += low
+    for j in range(len(rows)):
+        low = min((deg for row in rows for deg in row[j]), default=0)
+        for row in rows:
+            row[j] = {deg - low: c for deg, c in row[j].items()}
+        shift += low
+    bound = prod(sum(abs(c) for poly in row for c in poly.values()) for row in rows)
+    if not bound:
+        return {}  # an all-zero row
+    B = (4 * bound).bit_length()
+    det = _bareiss_det(
+        [[sum(c << (B * deg) for deg, c in poly.items()) for poly in row] for row in rows]
+    )
+    poly: dict[int, Fraction] = {}
+    half, mask = 1 << (B - 1), (1 << B) - 1
+    deg = shift
+    while det:
+        digit = det & mask
+        if digit >= half:
+            digit -= 1 << B
+        if digit:
+            poly[deg] = Fraction(digit, scale)
+        det = (det - digit) >> B
+        deg += 1
+    return poly
 
 
 @dataclass
@@ -486,7 +523,10 @@ class WitnessReport:
     """Exact witness determinant and the rank conclusion it certifies.
 
     The determinant is reported as degree -> coefficient with the leading
-    coefficient normalized positive. Row and column labels refer to the
+    coefficient normalized positive. With that normalization the lowest
+    coefficient comes out negative for chains d = 2..5, opposite in sign to
+    the lemma's; lowest_term_matches compares the lowest degree and the
+    coefficient's magnitude only. Row and column labels refer to the
     topological relabeling: new node i is original node relabeling[i].
     """
 
@@ -495,6 +535,7 @@ class WitnessReport:
     lowest_coefficient: Fraction | None
     expected_lowest_degree: int
     expected_lowest_magnitude: Fraction
+    lowest_term_matches: bool
     generically_identifiable: bool
     row_labels: list[tuple[int, tuple[int, ...]]]
     col_labels: list[tuple[int, int]]
@@ -506,42 +547,35 @@ def polytree_rank_witness(
 ) -> WitnessReport:
     """Exact rank certificate for a connected graph with all self-loops.
 
-    Evaluates the cumulants of the special polytree parametrization along a
-    grid of integer zeta values, takes exact determinants of the square
-    witness system, and interpolates the determinant polynomial in exact
-    rational arithmetic. A nonzero polynomial certifies that the stacked
+    Builds the square witness system whose entries are the cumulants of the
+    special polytree parametrization as exact polynomials in zeta, clears
+    each row's denominators so the entries are integer polynomials, and
+    evaluates them at one power of two, 2^B, large enough that the
+    determinant's coefficients cannot overlap. One integer Bareiss
+    elimination then gives the determinant polynomial exactly, read back as
+    base-2^B digits. A nonzero polynomial certifies that the stacked
     off-diagonal system at orders {2, r} has the maximal rank d*d - 1 for
-    generic parameters on any graph containing the polytree.
+    generic parameters on any graph containing the polytree. A one-node
+    graph has the empty system, determinant 1.
     """
     r = int(r)
     relabeled, order, rows, cols = _witness_layout(graph, r, polytree)
-    entries = _witness_entry_polys(relabeled, rows, cols, r)
-    degree_bound = sum(
-        max((max(poly, default=0) for poly in row), default=0) for row in entries
-    )
-    xs = [Fraction(z) for z in range(1, degree_bound + 2)]
-    ys = []
-    for x in xs:
-        matrix = [
-            [
-                sum((c * x**deg for deg, c in poly.items()), Fraction(0))
-                for poly in row
-            ]
-            for row in entries
-        ]
-        ys.append(_fraction_det(matrix))
-    coeffs = _interpolate_fractions(xs, ys)
-    leading = next((c for c in reversed(coeffs) if c), None)
-    if leading is not None and leading < 0:
-        coeffs = [-c for c in coeffs]
-    determinant = {deg: c for deg, c in enumerate(coeffs) if c}
+    determinant = _polynomial_det(_witness_entry_polys(relabeled, rows, cols, r))
+    if determinant and determinant[max(determinant)] < 0:
+        determinant = {deg: -c for deg, c in determinant.items()}
     lowest = min(determinant) if determinant else None
+    expected_degree = witness_lowest_degree(graph.d)
+    expected_magnitude = witness_lowest_coefficient_magnitude(graph.d, r)
     return WitnessReport(
         determinant=determinant,
         lowest_degree=lowest,
         lowest_coefficient=determinant[lowest] if lowest is not None else None,
-        expected_lowest_degree=witness_lowest_degree(graph.d),
-        expected_lowest_magnitude=witness_lowest_coefficient_magnitude(graph.d, r),
+        expected_lowest_degree=expected_degree,
+        expected_lowest_magnitude=expected_magnitude,
+        lowest_term_matches=(
+            lowest == expected_degree
+            and abs(determinant[lowest]) == expected_magnitude
+        ),
         generically_identifiable=bool(determinant),
         row_labels=rows,
         col_labels=cols,

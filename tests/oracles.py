@@ -4,11 +4,14 @@ Nothing here is used by the package itself: the dense Kronecker-sum form of
 the cumulant operator, the first-index-fastest vectorisation it acts on, a
 dense expansion of a symmetric tensor, a quadrature of the
 matrix-exponential integral form of the solution, the loop versions of
-the two unique-entry operators, and the steady-state sampler's former
-complex-arithmetic kernel together with a replay of its random draws.
+the two unique-entry operators, the steady-state sampler's former
+complex-arithmetic kernel together with a replay of its random draws, and
+the witness determinant's former route through exact rational evaluations
+on an integer grid and interpolation.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import scipy.integrate
@@ -145,3 +148,71 @@ def complex_eigen_sampler(M, levy, n: int, seed=None):
         np.add.at(accum, np.repeat(np.arange(m), counts), weights)
         out[start : start + m] = (accum @ Q.T).real
     return out
+
+
+def fraction_det(matrix) -> Fraction:
+    """Exact determinant of a Fraction matrix by Bareiss-style elimination."""
+    n = len(matrix)
+    A = [row[:] for row in matrix]
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            for i in range(k + 1, n):
+                if A[i][k] != 0:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) / prev
+            A[i][k] = Fraction(0)
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
+
+
+def interpolate_fractions(xs, ys) -> list[Fraction]:
+    """Monomial coefficients of the polynomial through the given points."""
+    n = len(xs)
+    newton = list(ys)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            newton[i] = (newton[i] - newton[i - 1]) / (xs[i] - xs[i - j])
+    poly = [Fraction(0)] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        shifted = [Fraction(0)] * (n + 1)
+        for p in range(n):
+            if poly[p]:
+                shifted[p + 1] += poly[p]
+                shifted[p] -= poly[p] * xs[i]
+        shifted[0] += newton[i]
+        poly = shifted
+    return poly[:n]
+
+
+def interpolated_witness_determinant(entries) -> dict[int, Fraction]:
+    """Determinant of a matrix of rational polynomials, leading term positive.
+
+    Evaluates the entries at zeta = 1 .. degree_bound + 1, takes an exact
+    Fraction determinant at each point and interpolates the values.
+    """
+    degree_bound = sum(
+        max((max(poly, default=0) for poly in row), default=0) for row in entries
+    )
+    xs = [Fraction(z) for z in range(1, degree_bound + 2)]
+    ys = [
+        fraction_det(
+            [
+                [sum((c * x**deg for deg, c in poly.items()), Fraction(0)) for poly in row]
+                for row in entries
+            ]
+        )
+        for x in xs
+    ]
+    coeffs = interpolate_fractions(xs, ys)
+    leading = next((c for c in reversed(coeffs) if c), None)
+    if leading is not None and leading < 0:
+        coeffs = [-c for c in coeffs]
+    return {deg: c for deg, c in enumerate(coeffs) if c}

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +118,37 @@ def test_identifiability_witness(tmp_path):
     assert report["lowest_degree"] == 4
     assert report["determinant"]["4"] == "-3/4"
     assert report["determinant"]["7"] == "3"
+    assert report["lowest_term_matches"] is True
+
+
+def test_identifiability_witness_single_node(tmp_path):
+    out = tmp_path / "wit1.json"
+    args = ["identifiability", "--d", "1", "--edges", "1->1", "--method", "witness"]
+    assert main(args + ["--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["determinant"] == {"0": "1"}
+    assert report["generically_identifiable"] is True
+    assert report["lowest_term_matches"] is True
+    assert report["verdict"] == "maximal rank"
+
+
+@pytest.mark.parametrize("r", ["1", "2"])
+def test_identifiability_witness_rejects_low_order(r, capsys):
+    args = ["identifiability", "--d", "2", "--edges", "1->1", "2->2", "1->2"]
+    assert main(args + ["--method", "witness", "--r", r]) == 1
+    assert "r >= 3" in capsys.readouterr().err
+
+
+def test_python_m_entry_point():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cumulyap", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "usage: cumulyap" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_study_quick_outputs(tmp_path):

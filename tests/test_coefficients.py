@@ -6,6 +6,8 @@ import pytest
 
 from cumulyap.coefficients import (
     CoefficientSystem,
+    _witness_entry_polys,
+    _witness_layout,
     all_edges,
     assemble_system,
     det_expansion_coefficient,
@@ -24,9 +26,28 @@ from cumulyap.coefficients import (
 from cumulyap.graphs import DirectedGraph
 from cumulyap.lyapunov import forward_map, solve_lyapunov, special_drift_matrix
 from cumulyap.tensors import SymmetricTensor, n_mode_product, unique_indices
-from oracles import coefficient_matrix_loop, dense, vec
+from oracles import (
+    coefficient_matrix_loop,
+    dense,
+    interpolated_witness_determinant,
+    vec,
+)
 
 TWO_CHAIN = DirectedGraph(2, [(0, 0), (1, 1), (0, 1)])
+# the graph of test_witness_relabels_against_label_order
+RELABELED = DirectedGraph(3, [(0, 0), (1, 1), (2, 2), (2, 0), (0, 1)])
+FOUR_NODE_SPARSE = DirectedGraph.from_edge_list(
+    4, ["1->1", "2->2", "3->3", "4->4", "1->3", "4->2", "3->4", "2->3", "3->2"]
+)
+
+
+def chain(d):
+    return DirectedGraph(d, [(i, i) for i in range(d)] + [(i, i + 1) for i in range(d - 1)])
+
+
+def witness_entries(graph, r):
+    relabeled, _, rows, cols = _witness_layout(graph, r, None)
+    return _witness_entry_polys(relabeled, rows, cols, r)
 
 
 def two_chain_cumulants(zeta=1.0):
@@ -234,6 +255,7 @@ def test_two_chain_witness_exact_determinant():
     }
     assert report.lowest_degree == 4 == report.expected_lowest_degree
     assert abs(report.lowest_coefficient) == report.expected_lowest_magnitude
+    assert report.lowest_term_matches
     assert report.generically_identifiable
 
 
@@ -263,6 +285,7 @@ def test_witness_relabels_against_label_order():
     assert report.generically_identifiable
     assert report.lowest_degree == 10
     assert abs(report.lowest_coefficient) == Fraction(27, 32)
+    assert report.lowest_term_matches
 
 
 def test_witness_validation():
@@ -272,3 +295,66 @@ def test_witness_validation():
     not_a_tree = DirectedGraph(3, [(i, i) for i in range(3)])
     with pytest.raises(ValueError):
         polytree_rank_witness(DirectedGraph.complete(3), 3, polytree=not_a_tree)
+    for r in (1, 2):
+        with pytest.raises(ValueError, match="r >= 3"):
+            polytree_rank_witness(TWO_CHAIN, r)
+        with pytest.raises(ValueError, match="r >= 3"):
+            witness_matrix(TWO_CHAIN, r, 1.0)
+
+
+def test_witness_single_node_is_empty_system():
+    # no rows and no columns: determinant 1, matching both lemma values at d = 1
+    report = polytree_rank_witness(DirectedGraph(1, [(0, 0)]), 3)
+    assert report.determinant == {0: Fraction(1)}
+    assert report.generically_identifiable
+    assert report.lowest_term_matches
+    assert witness_matrix(DirectedGraph(1, [(0, 0)]), 3, 1.0).matrix.shape == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "graph,r",
+    [
+        (chain(2), 3),
+        (chain(3), 3),
+        (chain(4), 3),
+        (chain(3), 4),
+        (chain(3), 5),
+        (RELABELED, 3),
+        (FOUR_NODE_SPARSE, 3),
+    ],
+    ids=["chain2", "chain3", "chain4", "chain3-r4", "chain3-r5", "relabeled", "four-sparse"],
+)
+def test_witness_matches_interpolation_oracle(graph, r):
+    expected = interpolated_witness_determinant(witness_entries(graph, r))
+    report = polytree_rank_witness(graph, r)
+    assert report.determinant == expected
+    assert report.lowest_term_matches
+
+
+@pytest.mark.parametrize(
+    "graph,r",
+    [(chain(2), 3), (chain(3), 3), (RELABELED, 4)],
+    ids=["chain2", "chain3", "relabeled-r4"],
+)
+def test_witness_matches_sympy_determinant(graph, r):
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+
+    def entry(poly):
+        return sympy.Add(*(sympy.Rational(str(c)) * z**deg for deg, c in poly.items()))
+
+    matrix = sympy.Matrix([[entry(p) for p in row] for row in witness_entries(graph, r)])
+    det = sympy.Poly(matrix.det(method="domain-ge"), z)
+    expected = {deg: Fraction(str(c)) for (deg,), c in det.terms()}
+    if expected[max(expected)] < 0:
+        expected = {deg: -c for deg, c in expected.items()}
+    assert polytree_rank_witness(graph, r).determinant == expected
+
+
+@pytest.mark.slow
+def test_witness_chain5_lowest_term():
+    report = polytree_rank_witness(chain(5), 3)
+    assert report.lowest_degree == witness_lowest_degree(5) == 28
+    assert abs(report.lowest_coefficient) == witness_lowest_coefficient_magnitude(5, 3)
+    assert report.lowest_coefficient == Fraction(-59049, 16384)
+    assert report.lowest_term_matches
