@@ -23,7 +23,7 @@ from .coefficients import (
     known_noise_identifiability_check,
     polytree_rank_witness,
 )
-from .cumulants import empirical_cumulants, estimate_omega, population_omega
+from .cumulants import estimate_omega, population_omega
 from .estimation import asymptotic_covariance, estimate_drift
 from .graphs import DirectedGraph
 from .sampling import (
@@ -94,9 +94,17 @@ def run_study(config: StudyConfig, log=None) -> StudyResult:
     chosen cumulant orders, and summarizes squared Frobenius errors against
     the true unit drift, alongside the delta-method asymptotic variance
     computed exactly from population cumulants. Each row also records the
-    wall time its sample size took, in seconds.
+    wall time its sample size took, in seconds. Raises ValueError unless there
+    is at least one replication, every sample size is at least 2 and every
+    order at least 2.
     """
     log = log or (lambda msg: None)
+    if config.n_replications < 1:
+        raise ValueError(f"need at least 1 replication, got {config.n_replications}")
+    if not config.sample_sizes or min(config.sample_sizes) < 2:
+        raise ValueError(f"sample sizes must be at least 2, got {config.sample_sizes}")
+    if not config.orders or min(config.orders) < 2:
+        raise ValueError(f"orders must be integers >= 2, got {config.orders}")
     orders = sorted(config.orders)
     M = study_drift_matrix(config.d, config.gamma, config.rho)
     unit = M / np.linalg.norm(M)
@@ -104,8 +112,7 @@ def run_study(config: StudyConfig, log=None) -> StudyResult:
 
     population = population_state_cumulants(M, levy, range(1, 2 * max(orders) + 1))
     omega = population_omega(population, orders)
-    target = {k: population[k] for k in orders}
-    total = asymptotic_covariance(M, target, omega.matrix).total
+    total = asymptotic_covariance(M, omega.cumulants, omega.matrix).total
     result = StudyResult(config=config, total_asymptotic_variance=total)
     log(f"asymptotic rmse {result.asymptotic_rmse:.3f}")
 
@@ -283,16 +290,20 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     samples = _read_samples(args.samples)
+    n = samples.shape[0]
+    if n < 2:
+        raise ValueError(f"{args.samples}: need at least 2 samples, got {n}")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(f"{args.samples}: samples contain NaN or infinite values")
     orders = _parse_orders(args.orders)
-    cumulants = empirical_cumulants(samples, orders)
-    est = estimate_drift(cumulants=cumulants)
     omega = estimate_omega(samples, orders)
-    total = asymptotic_covariance(est.matrix, cumulants, omega.matrix).total
+    est = estimate_drift(cumulants=omega.cumulants)
+    total = asymptotic_covariance(est.matrix, omega.cumulants, omega.matrix).total
     _write_json(
         args,
         {
             "d": int(samples.shape[1]),
-            "n": int(samples.shape[0]),
+            "n": int(n),
             "orders": orders,
             "m_hat": est.matrix.tolist(),
             "sigma_min": est.sigma_min,

@@ -1,17 +1,25 @@
-"""Multivariate cumulants: set-partition conversions, empirical estimates,
-and the asymptotic covariance of the stacked cumulant estimator.
+"""Multivariate cumulants: the partition table, empirical estimates, and the
+asymptotic covariance of the stacked cumulant estimator.
 
 Cumulant tensors are stored as SymmetricTensor objects keyed by order. The
 stacked coordinate vector concatenates the unique entries order by order
 (increasing order, lexicographic indices within an order); every consumer of
 that vector uses stacked_labels for the coordinate meaning.
+
+A joint cumulant is the sum over set partitions of its index of signed
+products of raw moments, and a raw moment is the same sum of cumulants
+without the signs. partition_table(d, k) holds those sums for every order-k
+index once, as integer arrays of stacked positions; cumulants from moments,
+moments from cumulants and the Jacobian of the cumulants are each a few
+vectorised operations over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,16 +27,13 @@ from .tensors import SymmetricTensor, unique_indices
 
 __all__ = [
     "set_partitions",
-    "cumulant_from_moments",
-    "moment_from_cumulants",
-    "empirical_raw_moment",
+    "partition_table",
     "empirical_cumulants",
     "stacked_labels",
     "stack_unique",
     "OmegaEstimate",
     "estimate_omega",
     "population_omega",
-    "bootstrap_omega",
     "beta_raw_moment",
     "compound_poisson_cumulants",
 ]
@@ -53,61 +58,108 @@ def set_partitions(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
-def cumulant_from_moments(index, moment) -> float:
-    """Joint cumulant at `index` from a raw-moment lookup.
+class PartitionGroup(NamedTuple):
+    """The terms of one block count b in a partition table.
 
-    `moment` maps a canonical index tuple (any length up to len(index)) to the
-    raw moment of the corresponding coordinate product.
+    Term t contributes weight[t] * sign * prod_s x[blocks[t, s]] to entry
+    row[t]; sign = (-1)^(b-1) (b-1)! is the cumulant sign of b blocks.
     """
-    index = tuple(index)
-    total = 0.0
-    for partition in set_partitions(len(index)):
-        term = (-1.0) ** (len(partition) - 1) * factorial(len(partition) - 1)
-        for block in partition:
-            term *= moment(tuple(sorted(index[p] for p in block)))
-        total += term
-    return total
+
+    row: np.ndarray
+    weight: np.ndarray
+    sign: int
+    blocks: np.ndarray
 
 
-def moment_from_cumulants(index, cumulant) -> float:
-    """Raw moment at `index` from a joint-cumulant lookup (inverse map)."""
-    index = tuple(index)
-    total = 0.0
-    for partition in set_partitions(len(index)):
-        term = 1.0
-        for block in partition:
-            term *= cumulant(tuple(sorted(index[p] for p in block)))
-        total += term
-    return total
+@lru_cache(maxsize=None)
+def partition_table(d: int, k: int) -> tuple[PartitionGroup, ...]:
+    """Every set partition of every order-k canonical index, as integer arrays.
+
+    One group per block count b = 1..k. A term's `blocks` are the stacked
+    positions of its blocks' sub-indices in the order-1..k vector (orders in
+    turn, unique_indices order within an order; the positions of
+    stacked_labels(d, range(1, k + 1)) and of the moment features), sorted
+    ascending; terms repeated within one row are stored once with their
+    count in `weight`. Read-only, since every caller shares it.
+    """
+    index = np.array(unique_indices(d, k))
+    positions = {}
+
+    def position(block: tuple[int, ...]) -> np.ndarray:
+        # a block of a nondecreasing index is itself nondecreasing, so its
+        # base-d code ranks it among unique_indices(d, len(block)), which
+        # come after the comb(d + j - 1, j - 1) - 1 entries of lower order
+        if block not in positions:
+            j = len(block)
+            place = d ** np.arange(j - 1, -1, -1)
+            codes = np.array(unique_indices(d, j)) @ place
+            rank = np.searchsorted(codes, index[:, block] @ place)
+            positions[block] = comb(d + j - 1, j - 1) - 1 + rank
+        return positions[block]
+
+    by_count: dict[int, list] = {}
+    for partition in set_partitions(k):
+        by_count.setdefault(len(partition), []).append(
+            [position(block) for block in partition]
+        )
+    groups = []
+    for b, parts in sorted(by_count.items()):
+        terms = np.sort(np.array(parts).transpose(2, 0, 1), axis=2)
+        # blocks of b-block partitions have order <= k - b + 1, so their
+        # positions lie below `radix` and the key ranks a term exactly
+        radix = comb(d + k - b + 1, k - b + 1) - 1
+        key = terms @ radix ** np.arange(b - 1, -1, -1)
+        order = np.argsort(key, axis=1)
+        key = np.take_along_axis(key, order, axis=1)
+        first = np.ones(key.shape, dtype=bool)
+        first[:, 1:] = key[:, 1:] != key[:, :-1]
+        starts = np.flatnonzero(first)
+        # flat positions in `terms` of each row's first copy of a term
+        picked = (order + np.arange(len(index))[:, None] * len(parts)).ravel()[starts]
+        group = PartitionGroup(
+            row=starts // len(parts),
+            weight=np.diff(starts, append=key.size),
+            sign=(-1) ** (b - 1) * factorial(b - 1),
+            blocks=terms.reshape(-1, b)[picked],
+        )
+        for array in (group.row, group.weight, group.blocks):
+            array.flags.writeable = False
+        groups.append(group)
+    return tuple(groups)
 
 
-def empirical_raw_moment(samples: np.ndarray, index) -> float:
-    """Sample mean of the coordinate product picked out by `index`."""
-    samples = np.asarray(samples, dtype=float)
-    return float(np.prod(samples[:, list(index)], axis=1).mean())
+def _partition_sum(stacked: np.ndarray, d: int, k: int, signed: bool) -> np.ndarray:
+    """Order-k cumulants (signed) or moments (unsigned) from the other kind.
+
+    `stacked` holds the other kind over orders 1..k or more, in stacked order.
+    """
+    size = len(unique_indices(d, k))
+    out = np.zeros(size)
+    for group in partition_table(d, k):
+        coef = group.sign * group.weight if signed else group.weight
+        out += np.bincount(
+            group.row, coef * stacked[group.blocks].prod(axis=1), minlength=size
+        )
+    return out
 
 
-def _feature_matrix(samples: np.ndarray, d: int, max_order: int):
-    """Monomial features x_v for all canonical v of order 1..max_order."""
-    labels = [idx for j in range(1, max_order + 1) for idx in unique_indices(d, j)]
-    cols = [np.prod(samples[:, list(idx)], axis=1) for idx in labels]
-    return labels, np.column_stack(cols)
+def _cumulants_at(means: np.ndarray, d: int, orders) -> dict[int, SymmetricTensor]:
+    """Cumulant tensors of `orders` from stacked order-1..max raw moments."""
+    return {k: SymmetricTensor(d, k, _partition_sum(means, d, k, True)) for k in orders}
+
+
+def _feature_matrix(samples: np.ndarray, max_order: int) -> np.ndarray:
+    """Monomial features x_v, in stacked order over orders 1..max_order."""
+    labels = stacked_labels(samples.shape[1], range(1, max_order + 1))
+    return np.column_stack([np.prod(samples[:, list(idx)], axis=1) for _, idx in labels])
 
 
 def empirical_cumulants(samples: np.ndarray, orders) -> dict[int, SymmetricTensor]:
     """k-statistics-free plug-in cumulant tensors of the sample, by order."""
     samples = np.asarray(samples, dtype=float)
-    n, d = samples.shape
     orders = sorted(int(k) for k in orders)
-    labels, F = _feature_matrix(samples, d, max(orders))
-    means = dict(zip(labels, F.mean(axis=0)))
-    out = {}
-    for k in orders:
-        t = SymmetricTensor(d, k)
-        for idx in t.indices:
-            t[idx] = cumulant_from_moments(idx, means.__getitem__)
-        out[k] = t
-    return out
+    means = _feature_matrix(samples, max(orders)).mean(axis=0)
+    return _cumulants_at(means, samples.shape[1], orders)
 
 
 def stacked_labels(d: int, orders) -> list[tuple[int, tuple[int, ...]]]:
@@ -127,29 +179,30 @@ def stack_unique(cumulants: dict[int, SymmetricTensor], orders=None) -> np.ndarr
 
 @dataclass
 class OmegaEstimate:
-    """Asymptotic covariance of sqrt(n) times the stacked cumulant estimator."""
+    """Asymptotic covariance of sqrt(n) times the stacked cumulant estimator.
+
+    `cumulants` holds the cumulant tensors of the requested orders at the
+    moments the covariance was evaluated at: the plug-in estimates for a
+    sample, the given tensors for a population.
+    """
 
     matrix: np.ndarray
     labels: list[tuple[int, tuple[int, ...]]]
+    cumulants: dict[int, SymmetricTensor]
 
 
-def _cumulant_jacobian(labels_out, labels_in, means: dict) -> np.ndarray:
-    """Jacobian of stacked cumulants w.r.t. the monomial moment features."""
-    pos = {idx: j for j, idx in enumerate(labels_in)}
-    J = np.zeros((len(labels_out), len(labels_in)))
-    for row, (_, index) in enumerate(labels_out):
-        for partition in set_partitions(len(index)):
-            sign = (-1.0) ** (len(partition) - 1) * factorial(len(partition) - 1)
-            block_keys = [
-                tuple(sorted(index[p] for p in block)) for block in partition
-            ]
-            values = [means[key] for key in block_keys]
-            for b, key in enumerate(block_keys):
-                rest = sign
-                for bb, val in enumerate(values):
-                    if bb != b:
-                        rest *= val
-                J[row, pos[key]] += rest
+def _cumulant_jacobian(means: np.ndarray, d: int, orders) -> np.ndarray:
+    """Jacobian of stacked cumulants w.r.t. the stacked monomial moments."""
+    J = np.zeros((len(stacked_labels(d, orders)), means.size))
+    offset = 0
+    for k in orders:
+        for group in partition_table(d, k):
+            values = means[group.blocks]
+            coef = group.sign * group.weight
+            for s in range(values.shape[1]):
+                rest = coef * np.delete(values, s, axis=1).prod(axis=1)
+                np.add.at(J, (offset + group.row, group.blocks[:, s]), rest)
+        offset += len(unique_indices(d, k))
     return J
 
 
@@ -163,15 +216,17 @@ def estimate_omega(samples: np.ndarray, orders) -> OmegaEstimate:
     covariance of the plug-in estimate itself).
     """
     samples = np.asarray(samples, dtype=float)
-    n, d = samples.shape
+    d = samples.shape[1]
     orders = sorted(int(k) for k in orders)
-    feat_labels, F = _feature_matrix(samples, d, max(orders))
-    means = dict(zip(feat_labels, F.mean(axis=0)))
-    S = np.cov(F, rowvar=False, ddof=1)
-    S = np.atleast_2d(S)
-    out_labels = stacked_labels(d, orders)
-    J = _cumulant_jacobian(out_labels, feat_labels, means)
-    return OmegaEstimate(matrix=J @ S @ J.T, labels=out_labels)
+    F = _feature_matrix(samples, max(orders))
+    means = F.mean(axis=0)
+    S = np.atleast_2d(np.cov(F, rowvar=False, ddof=1))
+    J = _cumulant_jacobian(means, d, orders)
+    return OmegaEstimate(
+        matrix=J @ S @ J.T,
+        labels=stacked_labels(d, orders),
+        cumulants=_cumulants_at(means, d, orders),
+    )
 
 
 def population_omega(
@@ -190,42 +245,22 @@ def population_omega(
     if missing:
         raise ValueError(f"need population cumulants of orders {missing}")
     d = cumulants[orders[0]].d
-
-    moment_cache: dict[tuple[int, ...], float] = {}
-
-    def moment(index: tuple[int, ...]) -> float:
-        if index not in moment_cache:
-            moment_cache[index] = moment_from_cumulants(
-                index, lambda sub: cumulants[len(sub)][sub]
-            )
-        return moment_cache[index]
-
-    feat_labels = [
-        idx for j in range(1, top + 1) for idx in unique_indices(d, j)
-    ]
-    p = len(feat_labels)
-    S = np.empty((p, p))
-    for i, v in enumerate(feat_labels):
-        for j, w in enumerate(feat_labels[: i + 1]):
-            S[i, j] = S[j, i] = moment(tuple(sorted(v + w))) - moment(v) * moment(w)
-    means = {idx: moment(idx) for idx in feat_labels}
-    out_labels = stacked_labels(d, orders)
-    J = _cumulant_jacobian(out_labels, feat_labels, means)
-    return OmegaEstimate(matrix=J @ S @ J.T, labels=out_labels)
-
-
-def bootstrap_omega(
-    samples: np.ndarray, orders, n_boot: int = 200, seed=None
-) -> np.ndarray:
-    """Nonparametric bootstrap of the same sqrt(n)-scaled covariance."""
-    samples = np.asarray(samples, dtype=float)
-    n = samples.shape[0]
-    rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(n_boot):
-        resampled = samples[rng.integers(0, n, size=n)]
-        draws.append(stack_unique(empirical_cumulants(resampled, orders)))
-    return n * np.cov(np.asarray(draws), rowvar=False, ddof=1)
+    every = range(1, 2 * top + 1)
+    kappa = stack_unique(cumulants, every)
+    moments = np.concatenate([_partition_sum(kappa, d, j, False) for j in every])
+    position = {idx: n for n, (_, idx) in enumerate(stacked_labels(d, every))}
+    features = [idx for _, idx in stacked_labels(d, range(1, top + 1))]
+    pairs = np.array(
+        [[position[tuple(sorted(v + w))] for w in features] for v in features]
+    )
+    means = moments[: len(features)]
+    S = moments[pairs] - np.outer(means, means)
+    J = _cumulant_jacobian(means, d, orders)
+    return OmegaEstimate(
+        matrix=J @ S @ J.T,
+        labels=stacked_labels(d, orders),
+        cumulants={k: cumulants[k] for k in orders},
+    )
 
 
 def beta_raw_moment(mu: float, nu: float, k: int) -> float:

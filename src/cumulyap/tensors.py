@@ -24,7 +24,6 @@ __all__ = [
     "canonical_index",
     "multiplicity",
     "slot_replacements",
-    "n_mode_product",
     "SymmetricTensor",
 ]
 
@@ -85,20 +84,6 @@ def slot_replacements(d: int, k: int) -> np.ndarray:
     )
     table.flags.writeable = False
     return table
-
-
-def n_mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarray:
-    """Contract `mode` of a dense tensor with the columns of a matrix.
-
-    (T x_n M)[..., j, ...] = sum_i M[j, i] * T[..., i, ...] with j in axis
-    `mode` (0-based) of the result.
-    """
-    tensor = np.asarray(tensor)
-    matrix = np.asarray(matrix)
-    if not 0 <= mode < tensor.ndim:
-        raise ValueError(f"mode {mode} out of range for order-{tensor.ndim} tensor")
-    out = np.tensordot(matrix, tensor, axes=(1, mode))
-    return np.moveaxis(out, 0, mode)
 
 
 class SymmetricTensor:

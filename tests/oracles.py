@@ -7,18 +7,28 @@ matrix-exponential integral form of the solution, the loop versions of
 the two unique-entry operators, the steady-state sampler's former
 complex-arithmetic kernel together with a replay of its random draws, and
 the witness determinant's former route through exact rational evaluations
-on an integer grid and interpolation.
+on an integer grid and interpolation, the per-index set-partition loops of
+the cumulant layer (moments to cumulants and back, the cumulant Jacobian and
+the population covariance built on them), a nonparametric bootstrap of that
+covariance, and the n-mode product of a dense tensor with a matrix.
 """
 
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import scipy.integrate
 import scipy.linalg
 
+from cumulyap.cumulants import (
+    empirical_cumulants,
+    set_partitions,
+    stack_unique,
+    stacked_labels,
+)
 from cumulyap.sampling import CHUNK_DRAWS, TRUNCATION_TOL
-from cumulyap.tensors import n_mode_product, unique_indices
+from cumulyap.tensors import unique_indices
 
 
 def vec(tensor: np.ndarray) -> np.ndarray:
@@ -55,6 +65,20 @@ def kron_sum_matrix(M: np.ndarray, k: int) -> np.ndarray:
         outer, inner = np.eye(d ** (k - 1 - mode)), np.eye(d**mode)
         total += np.kron(outer, np.kron(M, inner))
     return total
+
+
+def n_mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarray:
+    """Contract `mode` of a dense tensor with the columns of a matrix.
+
+    (T x_n M)[..., j, ...] = sum_i M[j, i] * T[..., i, ...] with j in axis
+    `mode` (0-based) of the result.
+    """
+    tensor = np.asarray(tensor)
+    matrix = np.asarray(matrix)
+    if not 0 <= mode < tensor.ndim:
+        raise ValueError(f"mode {mode} out of range for order-{tensor.ndim} tensor")
+    out = np.tensordot(matrix, tensor, axes=(1, mode))
+    return np.moveaxis(out, 0, mode)
 
 
 def integral_cumulant(M: np.ndarray, C: np.ndarray, t_max: float, n_nodes: int = 400):
@@ -216,3 +240,96 @@ def interpolated_witness_determinant(entries) -> dict[int, Fraction]:
     if leading is not None and leading < 0:
         coeffs = [-c for c in coeffs]
     return {deg: c for deg, c in enumerate(coeffs) if c}
+
+
+def cumulant_from_moments(index, moment) -> float:
+    """Joint cumulant at `index` from a raw-moment lookup.
+
+    `moment` maps a canonical index tuple (any length up to len(index)) to the
+    raw moment of the corresponding coordinate product.
+    """
+    index = tuple(index)
+    total = 0.0
+    for partition in set_partitions(len(index)):
+        term = (-1.0) ** (len(partition) - 1) * factorial(len(partition) - 1)
+        for block in partition:
+            term *= moment(tuple(sorted(index[p] for p in block)))
+        total += term
+    return total
+
+
+def moment_from_cumulants(index, cumulant) -> float:
+    """Raw moment at `index` from a joint-cumulant lookup (inverse map)."""
+    index = tuple(index)
+    total = 0.0
+    for partition in set_partitions(len(index)):
+        term = 1.0
+        for block in partition:
+            term *= cumulant(tuple(sorted(index[p] for p in block)))
+        total += term
+    return total
+
+
+def cumulant_jacobian_loop(labels_out, labels_in, means: dict) -> np.ndarray:
+    """Jacobian of stacked cumulants w.r.t. the monomial moment features."""
+    pos = {idx: j for j, idx in enumerate(labels_in)}
+    J = np.zeros((len(labels_out), len(labels_in)))
+    for row, (_, index) in enumerate(labels_out):
+        for partition in set_partitions(len(index)):
+            sign = (-1.0) ** (len(partition) - 1) * factorial(len(partition) - 1)
+            block_keys = [
+                tuple(sorted(index[p] for p in block)) for block in partition
+            ]
+            values = [means[key] for key in block_keys]
+            for b, key in enumerate(block_keys):
+                rest = sign
+                for bb, val in enumerate(values):
+                    if bb != b:
+                        rest *= val
+                J[row, pos[key]] += rest
+    return J
+
+
+def population_omega_loop(cumulants, orders) -> np.ndarray:
+    """population_omega's matrix with every moment and Jacobian entry looped."""
+    orders = sorted(int(k) for k in orders)
+    top = max(orders)
+    d = cumulants[orders[0]].d
+    moment_cache: dict[tuple[int, ...], float] = {}
+
+    def moment(index: tuple[int, ...]) -> float:
+        if index not in moment_cache:
+            moment_cache[index] = moment_from_cumulants(
+                index, lambda sub: cumulants[len(sub)][sub]
+            )
+        return moment_cache[index]
+
+    feat_labels = [idx for j in range(1, top + 1) for idx in unique_indices(d, j)]
+    p = len(feat_labels)
+    S = np.empty((p, p))
+    for i, v in enumerate(feat_labels):
+        for j, w in enumerate(feat_labels[: i + 1]):
+            S[i, j] = S[j, i] = moment(tuple(sorted(v + w))) - moment(v) * moment(w)
+    means = {idx: moment(idx) for idx in feat_labels}
+    J = cumulant_jacobian_loop(stacked_labels(d, orders), feat_labels, means)
+    return J @ S @ J.T
+
+
+def empirical_raw_moment(samples: np.ndarray, index) -> float:
+    """Sample mean of the coordinate product picked out by `index`."""
+    samples = np.asarray(samples, dtype=float)
+    return float(np.prod(samples[:, list(index)], axis=1).mean())
+
+
+def bootstrap_omega(
+    samples: np.ndarray, orders, n_boot: int = 200, seed=None
+) -> np.ndarray:
+    """Nonparametric bootstrap of estimate_omega's sqrt(n)-scaled covariance."""
+    samples = np.asarray(samples, dtype=float)
+    n = samples.shape[0]
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(n_boot):
+        resampled = samples[rng.integers(0, n, size=n)]
+        draws.append(stack_unique(empirical_cumulants(resampled, orders)))
+    return n * np.cov(np.asarray(draws), rowvar=False, ddof=1)

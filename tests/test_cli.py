@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cumulyap.cli import _read_samples, main
+from cumulyap import cumulants
+from cumulyap.cli import StudyConfig, _read_samples, main, run_study
 
 
 def test_simulate_writes_deterministic_csv(tmp_path):
@@ -180,6 +182,62 @@ def test_missing_samples_file_fails_cleanly(tmp_path, capsys):
     code = main(["estimate", "--samples", str(tmp_path / "nope.csv")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_estimate_builds_features_once(tmp_path, monkeypatch):
+    sim = tmp_path / "sim.csv"
+    assert main(["simulate", "--d", "2", "-n", "300", "--seed", "4", "--out", str(sim)]) == 0
+    calls = []
+    build = cumulants._feature_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cumulants, "_feature_matrix", counted)
+    assert main(["estimate", "--samples", str(sim), "--out", str(tmp_path / "e.json")]) == 0
+    assert calls == [(3,)]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x1,x2\n", "need at least 2 samples, got 0"),
+        ("x1,x2\n1.0,2.0\n", "need at least 2 samples, got 1"),
+        ("x1,x2\n1.0,2.0\nnan,3.0\n0.5,0.1\n", "NaN or infinite"),
+    ],
+    ids=["header-only", "one-row", "nan-cell"],
+)
+def test_estimate_rejects_degenerate_samples(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt: no data
+        code = main(["estimate", "--samples", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"n_replications": 0}, {"sample_sizes": (1, 100)}, {"orders": (1, 2)}],
+    ids=["no-replications", "one-row-samples", "order-1"],
+)
+def test_run_study_rejects_bad_config(change):
+    with pytest.raises(ValueError):
+        run_study(StudyConfig(**change))
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--reps", "0"], "replication"), (["--sizes", "1"], "sample sizes")],
+)
+def test_study_bad_config_fails_cleanly(tmp_path, capsys, flags, message):
+    code = main(["study", "--sizes", "100", *flags, "--out-dir", str(tmp_path / "s")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_bad_orders_fail_cleanly(tmp_path, capsys):

@@ -25,11 +25,12 @@ from cumulyap.coefficients import (
 )
 from cumulyap.graphs import DirectedGraph
 from cumulyap.lyapunov import forward_map, solve_lyapunov, special_drift_matrix
-from cumulyap.tensors import SymmetricTensor, n_mode_product, unique_indices
+from cumulyap.tensors import SymmetricTensor, unique_indices
 from oracles import (
     coefficient_matrix_loop,
     dense,
     interpolated_witness_determinant,
+    n_mode_product,
     vec,
 )
 

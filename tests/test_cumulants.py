@@ -9,20 +9,30 @@ from hypothesis import strategies as st
 from cumulyap.cumulants import (
     OmegaEstimate,
     beta_raw_moment,
-    bootstrap_omega,
     compound_poisson_cumulants,
-    cumulant_from_moments,
     empirical_cumulants,
-    empirical_raw_moment,
     estimate_omega,
-    moment_from_cumulants,
+    partition_table,
     population_omega,
     set_partitions,
     stack_unique,
     stacked_labels,
 )
-from cumulyap.cumulants import _cumulant_jacobian
+from cumulyap.cumulants import _cumulant_jacobian, _partition_sum
+from cumulyap.sampling import (
+    BetaJumps,
+    LevySpec,
+    population_state_cumulants,
+    study_drift_matrix,
+)
 from cumulyap.tensors import SymmetricTensor, unique_indices
+from oracles import (
+    bootstrap_omega,
+    cumulant_from_moments,
+    empirical_raw_moment,
+    moment_from_cumulants,
+    population_omega_loop,
+)
 
 
 def test_set_partitions_bell_numbers():
@@ -37,6 +47,34 @@ def test_set_partitions_are_partitions():
         assert flat == [0, 1, 2, 3]
         assert all(block == tuple(sorted(block)) for block in partition)
     assert len({p for p in set_partitions(4)}) == 15
+
+
+@pytest.mark.parametrize(
+    "d, k", [(d, k) for d in range(1, 5) for k in range(1, 7)] + [(3, 8)]
+)
+def test_partition_table_matches_loop_references(d, k):
+    rng = np.random.default_rng(100 * d + k)
+    labels = [idx for _, idx in stacked_labels(d, range(1, k + 1))]
+    rows = unique_indices(d, k)
+    for signed, loop in ((True, cumulant_from_moments), (False, moment_from_cumulants)):
+        x = rng.uniform(-1.0, 1.0, len(labels))
+        want = np.array([loop(idx, dict(zip(labels, x)).__getitem__) for idx in rows])
+        got = _partition_sum(x, d, k, signed)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_partition_table_is_shared_and_read_only():
+    groups = partition_table(3, 4)
+    assert partition_table(3, 4) is groups
+    assert [g.blocks.shape[1] for g in groups] == [1, 2, 3, 4]
+    assert [g.sign for g in groups] == [1, -1, 2, -6]
+    # the weights of one row count its Bell(4) = 15 partitions
+    for row in range(len(unique_indices(3, 4))):
+        assert sum(int(g.weight[g.row == row].sum()) for g in groups) == 15
+    for group in groups:
+        for array in (group.row, group.weight, group.blocks):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 def test_cumulants_of_normal_from_scipy_moments():
@@ -138,7 +176,7 @@ def test_cumulant_jacobian_matches_finite_differences():
     feat_labels = [idx for j in range(1, k + 1) for idx in unique_indices(d, j)]
     means = {idx: float(v) for idx, v in zip(feat_labels, rng.uniform(0.5, 1.5, len(feat_labels)))}
     out_labels = stacked_labels(d, [2, 3])
-    J = _cumulant_jacobian(out_labels, feat_labels, means)
+    J = _cumulant_jacobian(np.array([means[f] for f in feat_labels]), d, [2, 3])
     eps = 1e-6
     for col, feat in enumerate(feat_labels):
         up = dict(means)
@@ -181,6 +219,27 @@ def test_population_omega_gaussian_isserlis():
         for b, (k, l) in enumerate(labels):
             expected = S[i, k] * S[j, l] + S[i, l] * S[j, k]
             assert omega.matrix[a, b] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("d, orders", [(3, (2, 3, 4)), (4, (2, 3))])
+def test_population_omega_matches_loop_reference(d, orders):
+    M = study_drift_matrix(d, 10.0, 0.2)
+    levy = LevySpec(np.full(d, 0.5), BetaJumps(0.8, 1.0))
+    cums = population_state_cumulants(M, levy, range(1, 2 * max(orders) + 1))
+    omega = population_omega(cums, orders)
+    want = population_omega_loop(cums, orders)
+    assert np.max(np.abs(omega.matrix - want)) <= 1e-12 * np.max(np.abs(want))
+    assert omega.labels == stacked_labels(d, orders)
+    assert all(omega.cumulants[k] is cums[k] for k in orders)
+
+
+def test_estimate_omega_carries_empirical_cumulants():
+    X = np.random.default_rng(17).exponential(size=(500, 3))
+    omega = estimate_omega(X, [2, 3])
+    plug_in = empirical_cumulants(X, [2, 3])
+    assert sorted(omega.cumulants) == [2, 3]
+    for k in (2, 3):
+        assert np.array_equal(omega.cumulants[k].values, plug_in[k].values)
 
 
 def test_population_omega_requires_all_orders():

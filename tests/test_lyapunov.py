@@ -14,8 +14,15 @@ from cumulyap.lyapunov import (
     special_drift_matrix,
     trek_closed_form,
 )
-from cumulyap.tensors import SymmetricTensor, n_mode_product, unique_indices
-from oracles import dense, integral_cumulant, kron_sum_matrix, operator_matrix_loop, vec
+from cumulyap.tensors import SymmetricTensor, unique_indices
+from oracles import (
+    dense,
+    integral_cumulant,
+    kron_sum_matrix,
+    n_mode_product,
+    operator_matrix_loop,
+    vec,
+)
 
 # Every (d, k) whose dense Kronecker system has at most 4096 unknowns.
 DENSE_CASES = [(d, k) for d in range(2, 65) for k in range(2, 13) if d**k <= 4096]

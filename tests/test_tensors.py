@@ -11,11 +11,10 @@ from cumulyap.tensors import (
     SymmetricTensor,
     canonical_index,
     multiplicity,
-    n_mode_product,
     slot_replacements,
     unique_indices,
 )
-from oracles import kron_sum_matrix, vec
+from oracles import kron_sum_matrix, n_mode_product, vec
 
 
 def test_unique_indices_enumeration():
