@@ -14,16 +14,19 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .coefficients import (
+    assemble_system,
     generic_identifiability_check,
     known_noise_identifiability_check,
+    numerical_rank,
     polytree_rank_witness,
 )
-from .cumulants import estimate_omega, population_omega
+from .cumulants import empirical_cumulants, estimate_omega, population_omega
 from .estimation import asymptotic_covariance, estimate_drift
 from .graphs import DirectedGraph
 from .sampling import (
@@ -77,6 +80,7 @@ class StudyResult:
                 "rows": self.rows,
             },
             indent=2,
+            allow_nan=False,
         )
 
     def write_csv(self, path) -> None:
@@ -94,11 +98,14 @@ def run_study(config: StudyConfig, log=None) -> StudyResult:
     chosen cumulant orders, and summarizes squared Frobenius errors against
     the true unit drift, alongside the delta-method asymptotic variance
     computed exactly from population cumulants. Each row also records the
-    wall time its sample size took, in seconds. Raises ValueError unless there
-    is at least one replication, every sample size is at least 2 and every
-    order at least 2.
+    wall time its sample size took, in seconds. Raises ValueError unless the
+    dimension is at least 2 (a unit-norm 1 x 1 drift has no error to study),
+    there is at least one replication, every sample size is at least 2 and
+    every order at least 2.
     """
     log = log or (lambda msg: None)
+    if config.d < 2:
+        raise ValueError(f"need dimension d >= 2, got {config.d}")
     if config.n_replications < 1:
         raise ValueError(f"need at least 1 replication, got {config.n_replications}")
     if not config.sample_sizes or min(config.sample_sizes) < 2:
@@ -124,7 +131,7 @@ def run_study(config: StudyConfig, log=None) -> StudyResult:
         for rep in range(reps):
             seed = streams[i * reps + rep]
             samples = sample_steady_state(M, levy, n, seed=seed)
-            est = estimate_drift(samples, orders)
+            est = estimate_drift(empirical_cumulants(samples, orders))
             estimates.append(est.matrix)
             sq_errors.append(float(np.sum((est.matrix - unit) ** 2)))
             gaps.append(est.gap)
@@ -263,11 +270,14 @@ def _read_samples(path) -> np.ndarray:
         skip = 0
     except ValueError:
         skip = 1
-    return np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    with warnings.catch_warnings():
+        # no data rows is reported by the caller as "need at least 2 samples"
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
 
 
 def _write_json(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -296,18 +306,26 @@ def _cmd_estimate(args) -> int:
     if not np.all(np.isfinite(samples)):
         raise ValueError(f"{args.samples}: samples contain NaN or infinite values")
     orders = _parse_orders(args.orders)
+    d = samples.shape[1]
     omega = estimate_omega(samples, orders)
-    est = estimate_drift(cumulants=omega.cumulants)
+    rank = numerical_rank(assemble_system(omega.cumulants).matrix)
+    if rank < d * d - 1:
+        raise ValueError(
+            f"{args.samples}: samples do not identify the drift; the off-diagonal "
+            f"cumulant system has rank {rank}, below d*d - 1 = {d * d - 1}"
+        )
+    est = estimate_drift(omega.cumulants)
     total = asymptotic_covariance(est.matrix, omega.cumulants, omega.matrix).total
     _write_json(
         args,
         {
-            "d": int(samples.shape[1]),
+            "d": d,
             "n": int(n),
             "orders": orders,
             "m_hat": est.matrix.tolist(),
             "sigma_min": est.sigma_min,
-            "gap": est.gap,
+            # null when d = 1: there is no second singular value
+            "gap": None if np.isinf(est.gap) else est.gap,
             "stable": est.stable,
             "total_asymptotic_variance": total,
         },

@@ -18,19 +18,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, lcm, prod
 
 import numpy as np
 
 from .graphs import (
     DirectedGraph,
     connected_components,
-    enumerate_treks,
     spanning_polytree,
     sparsity_project,
     topological_order,
 )
-from .lyapunov import ModelParameters, forward_map, is_stable, solve_lyapunov
+from .lyapunov import (
+    ModelParameters,
+    _trek_polynomial,
+    forward_map,
+    is_stable,
+    solve_lyapunov,
+)
 from .tensors import (
     SymmetricTensor,
     _position_lookup,
@@ -58,7 +63,7 @@ __all__ = [
     "witness_lowest_coefficient_magnitude",
 ]
 
-ROW_POLICIES = ("all", "off_diagonal")
+STABLE_DRAW_TRIES = 500
 
 
 def all_edges(d: int) -> list[tuple[int, int]]:
@@ -112,18 +117,15 @@ class CoefficientSystem:
 
 
 def assemble_system(
-    cumulants: dict[int, SymmetricTensor],
-    row_policy: str = "off_diagonal",
-    columns=None,
+    cumulants: dict[int, SymmetricTensor], columns=None
 ) -> CoefficientSystem:
-    """Stack drift coefficient matrices over the given cumulant orders.
+    """Stack the off-diagonal drift coefficient rows over the cumulant orders.
 
-    row_policy "all" keeps every row; "off_diagonal" keeps the rows whose
-    noise entry vanishes under independent noise coordinates, i.e. exactly
-    the rows annihilating vec(M).
+    Keeps, per order, the rows of off_diagonal_indices: their noise entry
+    vanishes under independent noise coordinates, so they are exactly the
+    rows annihilating vec(M). Columns are the given edges (default:
+    all_edges), the hook for a graph-constrained system.
     """
-    if row_policy not in ROW_POLICIES:
-        raise ValueError(f"unknown row policy {row_policy!r}")
     orders = sorted(cumulants)
     if not orders:
         raise ValueError("need at least one cumulant order")
@@ -133,47 +135,45 @@ def assemble_system(
     blocks, labels = [], []
     for k in orders:
         kappa = cumulants[k]
-        rows = (
-            list(unique_indices(d, k))
-            if row_policy == "all"
-            else off_diagonal_indices(d, k)
-        )
+        rows = off_diagonal_indices(d, k)
         blocks.append(drift_coefficient_matrix(kappa, rows=rows, columns=columns))
         labels.extend((k, idx) for idx in rows)
     return CoefficientSystem(np.vstack(blocks), labels, list(columns))
 
 
-def numerical_rank(matrix: np.ndarray, rtol: float | None = None) -> int:
-    """Rank by singular values above rtol times the largest one.
+def _rank_cutoff(shape) -> float:
+    """Relative singular-value cutoff behind every rank decision.
 
-    The default tolerance is 1000 times looser than machine noise for the
-    matrix size, which separates the tiny-but-structural singular values of
-    these cumulant systems from genuine rank drops.
+    1000 times looser than machine noise for the matrix size, which separates
+    the tiny-but-structural singular values of these cumulant systems from
+    genuine rank drops. numerical_rank and the estimator's pseudoinverse
+    (estimation.moore_penrose) both use it.
     """
+    return max(shape) * np.finfo(float).eps * 1e3
+
+
+def numerical_rank(matrix: np.ndarray) -> int:
+    """Rank by singular values above _rank_cutoff times the largest one."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if matrix.size == 0:
         return 0
     sv = np.linalg.svd(matrix, compute_uv=False)
     if sv[0] == 0.0:
         return 0
-    if rtol is None:
-        rtol = max(matrix.shape) * np.finfo(float).eps * 1e3
-    return int(np.sum(sv > rtol * sv[0]))
+    return int(np.sum(sv > _rank_cutoff(matrix.shape) * sv[0]))
 
 
-def random_sparse_model(
-    graph: DirectedGraph, orders, rng, max_tries: int = 500
-) -> ModelParameters:
+def random_sparse_model(graph: DirectedGraph, orders, rng) -> ModelParameters:
     """Random stable drift respecting the graph, with diagonal noise tensors.
 
     Off-pattern entries are zero; allowed entries are uniform on [-1, 1] with
     the diagonal pushed down by 2 d on self-loop nodes, redrawing until the
-    drift is stable. Noise tensors are diagonal with magnitudes in [0.5, 2],
-    signed at random for odd orders.
+    drift is stable, at most STABLE_DRAW_TRIES times. Noise tensors are
+    diagonal with magnitudes in [0.5, 2], signed at random for odd orders.
     """
     d = graph.d
     loops = graph.self_loop_nodes()
-    for _ in range(max_tries):
+    for _ in range(STABLE_DRAW_TRIES):
         M = sparsity_project(rng.uniform(-1.0, 1.0, (d, d)), graph)
         for i in loops:
             M[i, i] -= 2.0 * d
@@ -195,7 +195,6 @@ def generic_identifiability_check(
     r: int,
     n_trials: int = 100,
     seed=None,
-    rtol: float | None = None,
 ) -> dict:
     """Monte Carlo generic-rank check of the stacked off-diagonal system.
 
@@ -211,8 +210,7 @@ def generic_identifiability_check(
     ranks = []
     for _ in range(n_trials):
         params = random_sparse_model(graph, orders, rng)
-        system = assemble_system(forward_map(params), row_policy="off_diagonal")
-        ranks.append(numerical_rank(system.matrix, rtol))
+        ranks.append(numerical_rank(assemble_system(forward_map(params)).matrix))
     achieved = sum(rank == expected for rank in ranks)
     return {
         "d": d,
@@ -233,7 +231,6 @@ def known_noise_identifiability_check(
     r: int,
     n_trials: int = 100,
     seed=None,
-    rtol: float | None = None,
 ) -> dict:
     """Identifiability of the drift when the order-r noise tensor is known.
 
@@ -272,9 +269,7 @@ def known_noise_identifiability_check(
         params = random_sparse_model(graph, [r], rng)
         kap = solve_lyapunov(params.drift, params.noise[r])
         ranks.append(
-            numerical_rank(
-                drift_coefficient_matrix(kap, rows=rows, columns=edges), rtol
-            )
+            numerical_rank(drift_coefficient_matrix(kap, rows=rows, columns=edges))
         )
     achieved = sum(rank == len(edges) for rank in ranks)
     return {
@@ -341,41 +336,15 @@ def witness_lowest_coefficient_magnitude(d: int, r: int) -> Fraction:
     )
 
 
-def _entry_polynomial(
-    polytree: DirectedGraph, index: tuple[int, ...], r: int, cache: dict
-) -> dict[int, Fraction]:
-    """Exact cumulant entry of the special parametrization, as poly in zeta.
-
-    A trek with path lengths summing to L contributes
-    (r/k)^(L+1) L! / prod(l_j!) at degree L+1, with k the entry order.
-    """
-    key = canonical_index(index)
-    if key in cache:
-        return cache[key]
-    k = len(key)
-    poly: dict[int, Fraction] = {}
-    for trek in enumerate_treks(polytree, key):
-        L = sum(trek.lengths)
-        coef = Fraction(r, k) ** (L + 1) * Fraction(
-            factorial(L), prod(factorial(l) for l in trek.lengths)
-        )
-        poly[L + 1] = poly.get(L + 1, Fraction(0)) + coef
-    cache[key] = {deg: c for deg, c in poly.items() if c}
-    return cache[key]
-
-
-def _witness_layout(graph: DirectedGraph, r: int, polytree: DirectedGraph | None):
-    """Topologically relabeled polytree plus witness row/column labels."""
+def _witness_layout(graph: DirectedGraph, r: int):
+    """Topologically relabeled spanning polytree plus witness row/column labels."""
     if int(r) < 3:
         raise ValueError("need noise order r >= 3")
     if not graph.has_all_self_loops():
         raise ValueError("the polytree witness needs all self-loops")
-    if polytree is None:
-        polytree = spanning_polytree(graph)
+    polytree = spanning_polytree(graph)
     d = graph.d
     tree_edges = polytree.non_loop_edges()
-    if len(tree_edges) != d - 1 or len(connected_components(polytree)) != 1:
-        raise ValueError("polytree must be a spanning tree of the skeleton")
     order = topological_order(polytree)
     position = {old: new for new, old in enumerate(order)}
     relabeled = DirectedGraph(
@@ -399,12 +368,12 @@ def _witness_layout(graph: DirectedGraph, r: int, polytree: DirectedGraph | None
 def _witness_entry_polys(relabeled, rows, cols, r):
     """Matrix of exact entry polynomials for the witness system.
 
-    Entry (idx, (src, dst)) sums the polynomial of idx with one dst slot
+    Entry (idx, (src, dst)) sums the trek polynomial of idx with one dst slot
     replaced by src over the slots holding dst, as in drift_coefficient_matrix.
     """
     d = relabeled.d
     column = {src * d + dst: c for c, (src, dst) in enumerate(cols)}
-    cache: dict = {}
+    cache: dict[tuple[int, int], dict[int, Fraction]] = {}
     entries = []
     for k, idx in rows:
         p = _position_lookup(d, k)[canonical_index(idx)]
@@ -414,23 +383,23 @@ def _witness_entry_polys(relabeled, rows, cols, r):
             c = column.get(j * d + a)
             if c is None:
                 continue
-            poly = _entry_polynomial(relabeled, unique_indices(d, k)[col], r, cache)
-            for deg, coef in poly.items():
+            if (k, col) not in cache:
+                index = unique_indices(d, k)[col]
+                cache[k, col] = _trek_polynomial(relabeled, index, r)
+            for deg, coef in cache[k, col].items():
                 row[c][deg] = row[c].get(deg, 0) + coef
         entries.append(row)
     return entries
 
 
-def witness_matrix(
-    graph: DirectedGraph, r: int, zeta: float, polytree: DirectedGraph | None = None
-) -> CoefficientSystem:
+def witness_matrix(graph: DirectedGraph, r: int, zeta: float) -> CoefficientSystem:
     """Float evaluation of the square witness system at one zeta value.
 
     Rows pair every coordinate couple at orders 2 and r and add one order-r
     row per polytree edge; columns are all edges except the first self-loop,
     both in the topological relabeling (see polytree_rank_witness).
     """
-    relabeled, _, rows, cols = _witness_layout(graph, r, polytree)
+    relabeled, _, rows, cols = _witness_layout(graph, r)
     entries = _witness_entry_polys(relabeled, rows, cols, int(r))
     matrix = np.array(
         [
@@ -542,24 +511,24 @@ class WitnessReport:
     relabeling: list[int]
 
 
-def polytree_rank_witness(
-    graph: DirectedGraph, r: int, polytree: DirectedGraph | None = None
-) -> WitnessReport:
+def polytree_rank_witness(graph: DirectedGraph, r: int) -> WitnessReport:
     """Exact rank certificate for a connected graph with all self-loops.
 
-    Builds the square witness system whose entries are the cumulants of the
-    special polytree parametrization as exact polynomials in zeta, clears
-    each row's denominators so the entries are integer polynomials, and
-    evaluates them at one power of two, 2^B, large enough that the
-    determinant's coefficients cannot overlap. One integer Bareiss
-    elimination then gives the determinant polynomial exactly, read back as
-    base-2^B digits. A nonzero polynomial certifies that the stacked
+    Takes the graph's own spanning_polytree, which the graph always
+    contains, so the certificate holds at a point of the graph's parameter
+    space. Builds the square witness system whose entries are the cumulants
+    of the special polytree parametrization as exact polynomials in zeta
+    (lyapunov._trek_polynomial), clears each row's denominators so the
+    entries are integer polynomials, and evaluates them at one power of two,
+    2^B, large enough that the determinant's coefficients cannot overlap.
+    One integer Bareiss elimination then gives the determinant polynomial
+    exactly, read back as base-2^B digits. A nonzero polynomial certifies that the stacked
     off-diagonal system at orders {2, r} has the maximal rank d*d - 1 for
     generic parameters on any graph containing the polytree. A one-node
     graph has the empty system, determinant 1.
     """
     r = int(r)
-    relabeled, order, rows, cols = _witness_layout(graph, r, polytree)
+    relabeled, order, rows, cols = _witness_layout(graph, r)
     determinant = _polynomial_det(_witness_entry_polys(relabeled, rows, cols, r))
     if determinant and determinant[max(determinant)] < 0:
         determinant = {deg: -c for deg, c in determinant.items()}

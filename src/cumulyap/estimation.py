@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .coefficients import assemble_system, off_diagonal_indices
-from .cumulants import empirical_cumulants, stacked_labels
+from .coefficients import _rank_cutoff, assemble_system, off_diagonal_indices
+from .cumulants import stacked_labels
 from .lyapunov import is_stable, lyapunov_operator_matrix
-from .tensors import SymmetricTensor, unique_indices
+from .tensors import SymmetricTensor, _position_lookup
 
 __all__ = [
     "moore_penrose",
@@ -34,21 +34,16 @@ __all__ = [
 SIGN_TIE_RTOL = 1e-12
 
 
-def _default_rtol(shape) -> float:
-    return max(shape) * np.finfo(float).eps * 1e3
-
-
-def moore_penrose(A: np.ndarray, rtol: float | None = None) -> np.ndarray:
-    """Pseudoinverse with the cutoff used by the rank checks.
+def moore_penrose(A: np.ndarray) -> np.ndarray:
+    """Pseudoinverse with the cutoff of the rank checks (numerical_rank).
 
     The coefficient system of an identifiable model has one singular value
-    that is zero up to solver noise; the default numpy cutoff can keep it and
-    blow up the inverse, so the default here is the looser rank threshold.
+    that is zero up to solver noise; numpy's default cutoff can keep it and
+    blow up the inverse. Here a singular value is inverted exactly when
+    numerical_rank counts it.
     """
     A = np.asarray(A, dtype=float)
-    if rtol is None:
-        rtol = _default_rtol(A.shape)
-    return np.linalg.pinv(A, rcond=rtol)
+    return np.linalg.pinv(A, rcond=_rank_cutoff(A.shape))
 
 
 def least_singular_vector(A: np.ndarray):
@@ -94,26 +89,18 @@ def _sign_fix(M: np.ndarray) -> np.ndarray:
     return -M if trace > 0 else M
 
 
-def estimate_drift(
-    samples: np.ndarray | None = None,
-    orders=(2, 3),
-    *,
-    cumulants: dict[int, SymmetricTensor] | None = None,
-) -> DriftEstimate:
-    """Estimate the drift direction from samples or from cumulant tensors.
+def estimate_drift(cumulants: dict[int, SymmetricTensor]) -> DriftEstimate:
+    """Estimate the drift direction from cumulant tensors keyed by order.
 
-    Builds the stacked off-diagonal coefficient system over the given orders
-    and takes its least right singular vector, reshaped column by column into
+    From samples, pass empirical_cumulants(samples, orders). Builds the
+    stacked off-diagonal coefficient system over the tensors' orders and
+    takes its least right singular vector, reshaped column by column into
     a matrix of unit Frobenius norm. The overall sign makes the trace
     negative; an exactly balanced trace falls back to making the largest
     diagonal entry negative. Stability of the estimate is reported, not
     enforced.
     """
-    if cumulants is None:
-        if samples is None:
-            raise ValueError("need samples or cumulants")
-        cumulants = empirical_cumulants(samples, orders)
-    system = assemble_system(cumulants, row_policy="off_diagonal")
+    system = assemble_system(cumulants)
     v, sigma_min, gap = least_singular_vector(system.matrix)
     d = cumulants[sorted(cumulants)[0]].d
     M = _sign_fix(v.reshape((d, d), order="F"))
@@ -138,9 +125,7 @@ class SingularVectorJacobian:
         return -self.pinv @ (np.asarray(H, dtype=float) @ self.direction)
 
 
-def singular_vector_jacobian(
-    A: np.ndarray, drift=None, rtol: float | None = None
-) -> SingularVectorJacobian:
+def singular_vector_jacobian(A: np.ndarray, drift=None) -> SingularVectorJacobian:
     """Jacobian of the drift estimator at a system with an exact kernel.
 
     `drift` is the kernel direction, given as a length d*d vector or as a
@@ -154,7 +139,7 @@ def singular_vector_jacobian(
         drift = np.asarray(drift, dtype=float)
         v = drift.reshape(-1, order="F") if drift.ndim == 2 else drift
         v = v / np.linalg.norm(v)
-    return SingularVectorJacobian(pinv=moore_penrose(A, rtol), direction=v)
+    return SingularVectorJacobian(pinv=moore_penrose(A), direction=v)
 
 
 @dataclass
@@ -173,7 +158,6 @@ def asymptotic_covariance(
     drift: np.ndarray,
     cumulants: dict[int, SymmetricTensor],
     omega: np.ndarray,
-    rtol: float | None = None,
 ) -> AsymptoticCovariance:
     """Delta-method covariance of the drift estimator.
 
@@ -189,11 +173,11 @@ def asymptotic_covariance(
     d = drift.shape[0]
     unit = drift / np.linalg.norm(drift)
     orders = sorted(cumulants)
-    system = assemble_system(cumulants, row_policy="off_diagonal")
+    system = assemble_system(cumulants)
     blocks = []
     for k in orders:
-        keep = set(off_diagonal_indices(d, k))
-        rows = [idx in keep for idx in unique_indices(d, k)]
+        pos = _position_lookup(d, k)
+        rows = [pos[idx] for idx in off_diagonal_indices(d, k)]
         blocks.append(lyapunov_operator_matrix(unit, k)[rows])
     B = scipy.linalg.block_diag(*blocks)
     labels = stacked_labels(d, orders)
@@ -201,6 +185,6 @@ def asymptotic_covariance(
         raise ValueError(
             f"omega must be {len(labels)} x {len(labels)} for orders {orders}"
         )
-    J = -singular_vector_jacobian(system.matrix, unit, rtol).pinv @ B
+    J = -singular_vector_jacobian(system.matrix, unit).pinv @ B
     cov = J @ np.asarray(omega, dtype=float) @ J.T
     return AsymptoticCovariance(matrix=cov, total=float(np.trace(cov)))

@@ -15,6 +15,7 @@ invertible exactly when no k eigenvalues of M (with repetition) sum to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial, prod
 
@@ -42,10 +43,10 @@ class SingularSystemError(ValueError):
     """The cumulant equation has no unique solution for this drift and order."""
 
 
-def is_stable(M: np.ndarray, tol: float = STABILITY_TOL) -> bool:
-    """True when every eigenvalue of M has real part below -tol."""
+def is_stable(M: np.ndarray) -> bool:
+    """True when every eigenvalue of M has real part below -STABILITY_TOL."""
     M = np.asarray(M, dtype=float)
-    return bool(np.max(np.linalg.eigvals(M).real) < -tol)
+    return bool(np.max(np.linalg.eigvals(M).real) < -STABILITY_TOL)
 
 
 def eigenvalue_sum_margin(M: np.ndarray, k: int) -> float:
@@ -118,15 +119,9 @@ class ModelParameters:
         return sorted(self.noise)
 
 
-def forward_map(params: ModelParameters, orders=None) -> dict[int, SymmetricTensor]:
-    """Steady-state cumulant tensors of the state, keyed by order."""
-    orders = params.orders if orders is None else sorted(int(k) for k in orders)
-    out = {}
-    for k in orders:
-        if k not in params.noise:
-            raise KeyError(f"no noise cumulant of order {k} in the model")
-        out[k] = solve_lyapunov(params.drift, params.noise[k])
-    return out
+def forward_map(params: ModelParameters) -> dict[int, SymmetricTensor]:
+    """Steady-state cumulant tensors of the state at every noise order."""
+    return {k: solve_lyapunov(params.drift, params.noise[k]) for k in params.orders}
 
 
 def lyapunov_operator_matrix(M: np.ndarray, k: int) -> np.ndarray:
@@ -161,6 +156,24 @@ def special_drift_matrix(graph: DirectedGraph, r: int, zeta: float) -> np.ndarra
     return M
 
 
+def _trek_polynomial(graph: DirectedGraph, index, r: int) -> dict[int, Fraction]:
+    """Exact cumulant entry of the special parametrization, as a poly in zeta.
+
+    A trek to the index's nodes with path lengths l_1..l_k summing to L
+    contributes (r/k)^(L+1) L! / prod(l_j!) at degree L+1, with k the entry
+    order. Returns degree -> coefficient.
+    """
+    k = len(index)
+    poly: dict[int, Fraction] = {}
+    for trek in enumerate_treks(graph, index):
+        L = sum(trek.lengths)
+        coef = Fraction(r, k) ** (L + 1) * Fraction(
+            factorial(L), prod(factorial(l) for l in trek.lengths)
+        )
+        poly[L + 1] = poly.get(L + 1, Fraction(0)) + coef
+    return poly
+
+
 def trek_closed_form(graph: DirectedGraph, k: int, r: int, zeta: float) -> SymmetricTensor:
     """Order-k steady-state cumulants of the special parametrization, by treks.
 
@@ -168,6 +181,8 @@ def trek_closed_form(graph: DirectedGraph, k: int, r: int, zeta: float) -> Symme
     tensors equal to the identity tensor at every order, the entry at a given
     index is a sum over treks to that index's nodes: a trek with path lengths
     l_1..l_k and total L contributes (r*zeta/k)**(L+1) * L! / prod(l_j!).
+    Each entry is the exact polynomial of _trek_polynomial, the one the
+    polytree witness uses, evaluated at zeta in floating point.
 
     The non-loop part of the graph must be acyclic.
     """
@@ -175,11 +190,6 @@ def trek_closed_form(graph: DirectedGraph, k: int, r: int, zeta: float) -> Symme
         raise ValueError("the special parametrization needs all self-loops")
     result = SymmetricTensor(graph.d, k)
     for idx in result.indices:
-        total = 0.0
-        for trek in enumerate_treks(graph, idx):
-            L = sum(trek.lengths)
-            total += (r * zeta / k) ** (L + 1) * factorial(L) / prod(
-                factorial(l) for l in trek.lengths
-            )
-        result[idx] = total
+        poly = _trek_polynomial(graph, idx, r)
+        result[idx] = sum(float(c) * zeta**deg for deg, c in poly.items())
     return result

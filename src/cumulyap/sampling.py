@@ -182,18 +182,12 @@ def population_state_cumulants(
     return out
 
 
-def sample_steady_state(
-    M: np.ndarray,
-    levy: LevySpec,
-    n: int,
-    seed=None,
-    truncation_tol: float = TRUNCATION_TOL,
-) -> np.ndarray:
+def sample_steady_state(M: np.ndarray, levy: LevySpec, n: int, seed=None) -> np.ndarray:
     """n independent draws from the stationary law, as an (n, d) array.
 
     Each draw accumulates exp(s M) e_c J over the jumps (s, c, J) of a
     Poisson stream on (0, T), with T chosen so the discarded tail of the
-    matrix exponential is below truncation_tol. With M = Q diag(delta) Q^-1,
+    matrix exponential is below TRUNCATION_TOL. With M = Q diag(delta) Q^-1,
     exp(s M) e_c = sum_l Q[:, l] exp(s delta_l) Q^-1[l, c]. A real eigenvalue
     contributes one real exponential; a conjugate pair contributes
     2 Re(Q[:, l] z_l) from the exponential of its member with positive
@@ -209,8 +203,6 @@ def sample_steady_state(
         raise ValueError("noise dimension does not match the drift")
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    if not 0.0 < truncation_tol < 1.0:
-        raise ValueError(f"truncation_tol must lie in (0, 1), got {truncation_tol!r}")
     if not is_stable(M):
         raise ValueError("drift must be stable to have a stationary law")
     delta, Q = np.linalg.eig(M)
@@ -219,7 +211,7 @@ def sample_steady_state(
             "drift eigenbasis too ill-conditioned for the exponential route"
         )
     Qinv = np.linalg.inv(Q)
-    horizon = np.log(truncation_tol) / np.max(delta.real)
+    horizon = np.log(TRUNCATION_TOL) / np.max(delta.real)
     total_rate = float(levy.rates.sum())
     coord_probs = levy.rates / total_rate
     real, upper = delta.imag == 0, delta.imag > 0

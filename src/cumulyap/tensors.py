@@ -27,6 +27,8 @@ __all__ = [
     "SymmetricTensor",
 ]
 
+SYMMETRY_TOL = 1e-8
+
 
 @lru_cache(maxsize=None)
 def unique_indices(d: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -145,13 +147,12 @@ class SymmetricTensor:
         return out
 
     @classmethod
-    def from_dense(
-        cls, arr: np.ndarray, symmetrize: bool = False, tol: float = 1e-8
-    ) -> "SymmetricTensor":
+    def from_dense(cls, arr: np.ndarray, symmetrize: bool = False) -> "SymmetricTensor":
         """Read a dense tensor, checking (or averaging away) asymmetry.
 
         With symmetrize=False the entries across each permutation class must
-        agree to within `tol` relative to the largest entry magnitude.
+        agree to within SYMMETRY_TOL relative to the largest entry magnitude
+        (at least 1).
         """
         arr = np.asarray(arr, dtype=float)
         d = arr.shape[0]
@@ -165,7 +166,7 @@ class SymmetricTensor:
             if symmetrize:
                 values[p] = float(np.mean(group))
             else:
-                if max(group) - min(group) > tol * scale:
+                if max(group) - min(group) > SYMMETRY_TOL * scale:
                     raise ValueError(f"tensor not symmetric at index class {idx}")
                 values[p] = float(arr[idx])
         return cls(d, k, values)

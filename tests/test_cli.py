@@ -12,6 +12,15 @@ from cumulyap import cumulants
 from cumulyap.cli import StudyConfig, _read_samples, main, run_study
 
 
+def strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity that strict JSON lacks."""
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_simulate_writes_deterministic_csv(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -60,6 +69,19 @@ def test_estimate_schema(tmp_path):
     assert np.linalg.norm(m_hat) == pytest.approx(1.0, rel=1e-9)
     for key in ("sigma_min", "gap", "stable", "total_asymptotic_variance"):
         assert key in report
+
+
+def test_estimate_one_column_writes_strict_json(tmp_path):
+    # d = 1: the drift is identified (rank 0 = d*d - 1) but has no second
+    # singular value, so there is no gap
+    path = tmp_path / "one.csv"
+    path.write_text("x1\n0.3\n1.2\n-0.4\n2.0\n")
+    out = tmp_path / "one.json"
+    assert main(["estimate", "--samples", str(path), "--out", str(out)]) == 0
+    report = strict_json(out.read_text())
+    assert report["d"] == 1
+    assert report["gap"] is None
+    assert report["m_hat"] == [[-1.0]]
 
 
 def test_identifiability_generic_with_edges(tmp_path):
@@ -169,7 +191,7 @@ def test_study_quick_outputs(tmp_path):
     assert code == 0
     assert (out_dir / "study.csv").exists()
     assert (out_dir / "study.svg").exists()
-    report = json.loads((out_dir / "study.json").read_text())
+    report = strict_json((out_dir / "study.json").read_text())
     assert len(report["rows"]) == 2
     assert report["total_asymptotic_variance"] > 0
     for row in report["rows"]:
@@ -205,24 +227,27 @@ def test_estimate_builds_features_once(tmp_path, monkeypatch):
         ("x1,x2\n", "need at least 2 samples, got 0"),
         ("x1,x2\n1.0,2.0\n", "need at least 2 samples, got 1"),
         ("x1,x2\n1.0,2.0\nnan,3.0\n0.5,0.1\n", "NaN or infinite"),
+        ("x1,x2\n1.0,2.0\n0.5,0.1\n", "do not identify the drift"),
+        ("x1,x2\n1.0,0.3\n1.0,2.0\n1.0,-1.0\n1.0,0.7\n", "has rank 1"),
     ],
-    ids=["header-only", "one-row", "nan-cell"],
+    ids=["header-only", "one-row", "nan-cell", "two-rows", "constant-column"],
 )
 def test_estimate_rejects_degenerate_samples(tmp_path, capsys, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # loadtxt: no data
+        warnings.simplefilter("error")  # a warning ahead of the error line fails
         code = main(["estimate", "--samples", str(path)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
     "change",
-    [{"n_replications": 0}, {"sample_sizes": (1, 100)}, {"orders": (1, 2)}],
-    ids=["no-replications", "one-row-samples", "order-1"],
+    [{"n_replications": 0}, {"sample_sizes": (1, 100)}, {"orders": (1, 2)}, {"d": 1}],
+    ids=["no-replications", "one-row-samples", "order-1", "one-dimension"],
 )
 def test_run_study_rejects_bad_config(change):
     with pytest.raises(ValueError):
@@ -231,7 +256,11 @@ def test_run_study_rejects_bad_config(change):
 
 @pytest.mark.parametrize(
     "flags, message",
-    [(["--reps", "0"], "replication"), (["--sizes", "1"], "sample sizes")],
+    [
+        (["--reps", "0"], "replication"),
+        (["--sizes", "1"], "sample sizes"),
+        (["--d", "1"], "d >= 2"),
+    ],
 )
 def test_study_bad_config_fails_cleanly(tmp_path, capsys, flags, message):
     code = main(["study", "--sizes", "100", *flags, "--out-dir", str(tmp_path / "s")])

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cumulyap.coefficients import (
-    CoefficientSystem,
     _witness_entry_polys,
     _witness_layout,
     all_edges,
@@ -47,7 +46,7 @@ def chain(d):
 
 
 def witness_entries(graph, r):
-    relabeled, _, rows, cols = _witness_layout(graph, r, None)
+    relabeled, _, rows, cols = _witness_layout(graph, r)
     return _witness_entry_polys(relabeled, rows, cols, r)
 
 
@@ -144,28 +143,21 @@ def test_assemble_system_full_rows_satisfy_balance():
     graph = DirectedGraph.complete(3)
     params = random_sparse_model(graph, [2, 3], rng)
     cums = forward_map(params)
-    system = assemble_system(cums, row_policy="all")
+    full = np.vstack([drift_coefficient_matrix(cums[k]) for k in sorted(cums)])
     stacked_noise = np.concatenate(
         [params.noise[k].vec_unique() for k in sorted(params.noise)]
     )
-    assert isinstance(system, CoefficientSystem)
-    assert np.allclose(system.matrix @ vec(params.drift) + stacked_noise, 0.0, atol=1e-9)
+    assert np.allclose(full @ vec(params.drift) + stacked_noise, 0.0, atol=1e-9)
 
 
 def test_assemble_system_off_diagonal_kernel():
     rng = np.random.default_rng(22)
     graph = DirectedGraph.complete(3)
     params = random_sparse_model(graph, [2, 3], rng)
-    system = assemble_system(forward_map(params), row_policy="off_diagonal")
+    system = assemble_system(forward_map(params))
     assert np.allclose(system.matrix @ vec(params.drift), 0.0, atol=1e-9)
     assert all(len(set(idx)) >= 2 for _, idx in system.row_labels)
     assert system.col_labels == all_edges(3)
-
-
-def test_assemble_system_rejects_unknown_policy():
-    _, cums = two_chain_cumulants()
-    with pytest.raises(ValueError):
-        assemble_system(cums, row_policy="everything")
 
 
 def test_numerical_rank():
@@ -293,9 +285,6 @@ def test_witness_validation():
     no_loops = DirectedGraph(2, [(0, 1), (1, 0), (0, 0)])
     with pytest.raises(ValueError):
         polytree_rank_witness(no_loops, 3)
-    not_a_tree = DirectedGraph(3, [(i, i) for i in range(3)])
-    with pytest.raises(ValueError):
-        polytree_rank_witness(DirectedGraph.complete(3), 3, polytree=not_a_tree)
     for r in (1, 2):
         with pytest.raises(ValueError, match="r >= 3"):
             polytree_rank_witness(TWO_CHAIN, r)

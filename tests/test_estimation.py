@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from cumulyap.coefficients import assemble_system, random_sparse_model
-from cumulyap.cumulants import population_omega, stacked_labels
+from cumulyap.coefficients import (
+    _rank_cutoff,
+    assemble_system,
+    numerical_rank,
+    random_sparse_model,
+)
+from cumulyap.cumulants import empirical_cumulants, population_omega, stacked_labels
 from cumulyap.estimation import (
     AsymptoticCovariance,
     DriftEstimate,
@@ -49,9 +54,17 @@ def test_least_singular_vector_single_column():
 def test_moore_penrose_drops_tiny_singular_values():
     P = moore_penrose(np.diag([1.0, 1e-13]))
     assert np.allclose(P, np.diag([1.0, 0.0]))
-    # an explicit tight cutoff keeps it
-    P_tight = moore_penrose(np.diag([1.0, 1e-13]), rtol=1e-15)
-    assert P_tight[1, 1] == pytest.approx(1e13)
+
+
+def test_rank_and_pseudoinverse_share_one_cutoff():
+    # a singular value just above the cutoff counts and is inverted; one just
+    # below neither counts nor is inverted
+    t = _rank_cutoff((2, 2))
+    above, below = np.diag([1.0, 1.5 * t]), np.diag([1.0, t / 1.5])
+    assert numerical_rank(above) == 2
+    assert moore_penrose(above)[1, 1] == pytest.approx(1.0 / (1.5 * t))
+    assert numerical_rank(below) == 1
+    assert moore_penrose(below)[1, 1] == 0.0
 
 
 def test_sign_fix():
@@ -85,18 +98,13 @@ def test_estimate_drift_from_samples_smoke():
     from cumulyap.sampling import sample_steady_state
 
     X = sample_steady_state(M, levy, 4000, seed=31)
-    estimate = estimate_drift(X, orders=(2, 3))
+    estimate = estimate_drift(empirical_cumulants(X, (2, 3)))
     target = M / np.linalg.norm(M)
     err = min(
         np.linalg.norm(estimate.matrix - target),
         np.linalg.norm(estimate.matrix + target),
     )
     assert err < 0.5  # loose: finite-sample direction, right ballpark only
-
-
-def test_estimate_drift_requires_input():
-    with pytest.raises(ValueError):
-        estimate_drift()
 
 
 def test_singular_vector_jacobian_matches_finite_differences():
@@ -125,7 +133,7 @@ def test_singular_vector_jacobian_matches_finite_differences():
 def test_singular_vector_jacobian_accepts_drift_matrix():
     rng = np.random.default_rng(33)
     params = random_sparse_model(DirectedGraph.complete(2), [2, 3], rng)
-    system = assemble_system(forward_map(params), row_policy="off_diagonal")
+    system = assemble_system(forward_map(params))
     jac = singular_vector_jacobian(system.matrix, drift=params.drift)
     unit = params.drift.reshape(-1, order="F")
     unit = unit / np.linalg.norm(unit)

@@ -210,8 +210,6 @@ def test_forward_map():
     out = forward_map(params)
     assert sorted(out) == [2, 3]
     assert out[2].allclose(solve_lyapunov(M, np.eye(2)))
-    with pytest.raises(KeyError):
-        forward_map(params, orders=[4])
 
 
 def test_special_drift_matrix():

@@ -233,8 +233,5 @@ def test_sampler_rejects_bad_size_and_tolerance():
     for n in (-1, 2.0, 2.5, True, "10"):
         with pytest.raises(ValueError, match="non-negative integer"):
             sample_steady_state(M, levy, n, seed=0)
-    for tol in (0.0, 1.0, 1.5, -1e-12, float("nan")):
-        with pytest.raises(ValueError, match="truncation_tol"):
-            sample_steady_state(M, levy, 10, seed=0, truncation_tol=tol)
     assert sample_steady_state(M, levy, 0, seed=0).shape == (0, 2)
     assert sample_steady_state(M, levy, np.int64(3), seed=0).shape == (3, 2)
