@@ -5,161 +5,29 @@ SDE driven by a Lévy process, certifies identifiability of the drift
 sparsity pattern through coefficient-matrix ranks, estimates the scale-free
 drift from higher-order empirical cumulants with asymptotic inference, and
 samples the stationary law exactly for compound Poisson noise.
+
+The public names are each module's own ``__all__``, republished here.
 """
 
-from .cli import StudyConfig, StudyResult, main, run_study
-from .coefficients import (
-    CoefficientSystem,
-    WitnessReport,
-    all_edges,
-    assemble_system,
-    det_expansion_coefficient,
-    det_expansion_identity_holds,
-    drift_coefficient_matrix,
-    generic_identifiability_check,
-    known_noise_identifiability_check,
-    numerical_rank,
-    off_diagonal_indices,
-    polytree_rank_witness,
-    random_sparse_model,
-    witness_lowest_coefficient_magnitude,
-    witness_lowest_degree,
-    witness_matrix,
-)
-from .cumulants import (
-    OmegaEstimate,
-    beta_raw_moment,
-    compound_poisson_cumulants,
-    empirical_cumulants,
-    estimate_omega,
-    partition_table,
-    population_omega,
-    set_partitions,
-    stack_unique,
-    stacked_labels,
-)
-from .estimation import (
-    AsymptoticCovariance,
-    DriftEstimate,
-    SingularVectorJacobian,
-    asymptotic_covariance,
-    estimate_drift,
-    least_singular_vector,
-    moore_penrose,
-    singular_vector_jacobian,
-)
-from .graphs import (
-    DirectedGraph,
-    GraphCycleError,
-    Trek,
-    connected_components,
-    enumerate_treks,
-    spanning_polytree,
-    sparsity_project,
-    topological_order,
-)
-from .lyapunov import (
-    ModelParameters,
-    SingularSystemError,
-    eigenvalue_sum_margin,
-    forward_map,
-    is_stable,
-    lyapunov_operator_matrix,
-    solve_lyapunov,
-    special_drift_matrix,
-    trek_closed_form,
-)
-from .sampling import (
-    BetaJumps,
-    ConstantJumps,
-    LevySpec,
-    TwoPointJumps,
-    population_state_cumulants,
-    sample_steady_state,
-    steady_state_mean,
-    study_covariance,
-    study_drift_matrix,
-    two_point_jumps,
-)
-from .tensors import (
-    SymmetricTensor,
-    canonical_index,
-    multiplicity,
-    slot_replacements,
-    unique_indices,
-)
+# importing a submodule also binds its name here, so `cli.__all__` below resolves
+from .cli import *
+from .coefficients import *
+from .cumulants import *
+from .estimation import *
+from .graphs import *
+from .lyapunov import *
+from .sampling import *
+from .tensors import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticCovariance",
-    "BetaJumps",
-    "CoefficientSystem",
-    "ConstantJumps",
-    "DirectedGraph",
-    "DriftEstimate",
-    "GraphCycleError",
-    "LevySpec",
-    "ModelParameters",
-    "OmegaEstimate",
-    "SingularSystemError",
-    "SingularVectorJacobian",
-    "StudyConfig",
-    "StudyResult",
-    "SymmetricTensor",
-    "Trek",
-    "TwoPointJumps",
-    "WitnessReport",
-    "all_edges",
-    "assemble_system",
-    "asymptotic_covariance",
-    "beta_raw_moment",
-    "canonical_index",
-    "compound_poisson_cumulants",
-    "connected_components",
-    "det_expansion_coefficient",
-    "det_expansion_identity_holds",
-    "drift_coefficient_matrix",
-    "eigenvalue_sum_margin",
-    "empirical_cumulants",
-    "enumerate_treks",
-    "estimate_drift",
-    "estimate_omega",
-    "forward_map",
-    "generic_identifiability_check",
-    "is_stable",
-    "known_noise_identifiability_check",
-    "least_singular_vector",
-    "lyapunov_operator_matrix",
-    "main",
-    "moore_penrose",
-    "multiplicity",
-    "numerical_rank",
-    "off_diagonal_indices",
-    "partition_table",
-    "polytree_rank_witness",
-    "population_omega",
-    "population_state_cumulants",
-    "random_sparse_model",
-    "run_study",
-    "sample_steady_state",
-    "set_partitions",
-    "singular_vector_jacobian",
-    "slot_replacements",
-    "solve_lyapunov",
-    "spanning_polytree",
-    "sparsity_project",
-    "special_drift_matrix",
-    "stack_unique",
-    "stacked_labels",
-    "steady_state_mean",
-    "study_covariance",
-    "study_drift_matrix",
-    "topological_order",
-    "trek_closed_form",
-    "two_point_jumps",
-    "unique_indices",
-    "witness_lowest_coefficient_magnitude",
-    "witness_lowest_degree",
-    "witness_matrix",
+    *cli.__all__,
+    *coefficients.__all__,
+    *cumulants.__all__,
+    *estimation.__all__,
+    *graphs.__all__,
+    *lyapunov.__all__,
+    *sampling.__all__,
+    *tensors.__all__,
 ]

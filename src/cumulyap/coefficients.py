@@ -201,8 +201,10 @@ def generic_identifiability_check(
     Draws random models respecting the graph, forms the off-diagonal system
     for orders {2, r} with all d*d columns, and records its rank. The rank
     can never exceed d*d minus the number of weakly connected components;
-    hitting that bound on most draws certifies the generic rank.
+    hitting that bound on most of n_trials >= 1 draws certifies the generic rank.
     """
+    if n_trials < 1:
+        raise ValueError(f"need at least 1 trial, got {n_trials}")
     orders = sorted({2, int(r)})
     d = graph.d
     expected = d * d - len(connected_components(graph))
@@ -221,7 +223,7 @@ def generic_identifiability_check(
         "ranks": ranks,
         "expected_rank": expected,
         "rank_bound_holds": all(rank <= expected for rank in ranks),
-        "achieved_fraction": achieved / n_trials if n_trials else 0.0,
+        "achieved_fraction": achieved / n_trials,
         "verdict": "maximal rank" if achieved >= 0.95 * n_trials else "rank deficient",
     }
 
@@ -240,11 +242,13 @@ def known_noise_identifiability_check(
     one nonzero entry per row, with determinant equal to the product of the
     source-coordinate diagonal cumulants (times r per self-loop), so it is
     generically invertible for every graph with all self-loops. The report
-    carries that closed-form certificate plus random-draw ranks.
+    carries that closed-form certificate plus n_trials >= 0 random-draw ranks.
     """
     r = int(r)
     if r < 3:
         raise ValueError("need noise order r >= 3")
+    if n_trials < 0:
+        raise ValueError(f"need a nonnegative trial count, got {n_trials}")
     if not graph.has_all_self_loops():
         raise ValueError("the known-noise certificate needs all self-loops")
     d = graph.d

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .coefficients import _rank_cutoff, assemble_system, off_diagonal_indices
+from .coefficients import (
+    _rank_cutoff,
+    assemble_system,
+    numerical_rank,
+    off_diagonal_indices,
+)
 from .cumulants import stacked_labels
 from .lyapunov import is_stable, lyapunov_operator_matrix
 from .tensors import SymmetricTensor, _position_lookup
@@ -167,13 +172,21 @@ def asymptotic_covariance(
     aligned with stacked_labels over the same orders. The estimator error is
     linear in the cumulant error through the coefficient system built at the
     truth, with the cumulant-to-system map given by the Lyapunov operator of
-    the unit-norm drift.
+    the unit-norm drift. Raises ValueError when the stacked off-diagonal
+    system has rank below d*d - 1, as the cumulants then do not identify the
+    drift and the expansion has no meaning.
     """
     drift = np.asarray(drift, dtype=float)
     d = drift.shape[0]
     unit = drift / np.linalg.norm(drift)
     orders = sorted(cumulants)
     system = assemble_system(cumulants)
+    rank = numerical_rank(system.matrix)
+    if rank < d * d - 1:
+        raise ValueError(
+            "the cumulants do not identify the drift; the off-diagonal cumulant "
+            f"system has rank {rank}, below d*d - 1 = {d * d - 1}"
+        )
     blocks = []
     for k in orders:
         pos = _position_lookup(d, k)

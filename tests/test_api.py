@@ -26,3 +26,12 @@ def test_package_exports_are_the_modules_exports():
     assert len(cumulyap.__all__) == len(set(cumulyap.__all__))
     for name in cumulyap.__all__:
         assert hasattr(cumulyap, name)
+
+
+def test_package_namespace_is_exports_and_modules():
+    # a name bound in the package besides the modules and their exports,
+    # such as a stray import, would be public API by accident
+    public = {name for name in vars(cumulyap) if not name.startswith("_")}
+    modules = {module.__name__.rsplit(".", 1)[1] for module in package_modules()}
+    assert len(modules) == 8
+    assert public == set(cumulyap.__all__) | modules

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cumulyap import cumulants
-from cumulyap.cli import StudyConfig, _read_samples, main, run_study
+from cumulyap import cli, cumulants
+from cumulyap.cli import StudyConfig, _read_samples, build_parser, main, run_study
 
 
 def strict_json(text):
@@ -163,6 +163,15 @@ def test_identifiability_witness_rejects_low_order(r, capsys):
     assert "r >= 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "method, trials", [("generic", "0"), ("known-noise", "-3")]
+)
+def test_identifiability_rejects_meaningless_trials(method, trials, capsys):
+    args = ["identifiability", "--d", "2", "--edges", "1->1", "2->2"]
+    assert main(args + ["--method", method, "--trials", trials]) == 1
+    assert "trial" in capsys.readouterr().err
+
+
 def test_python_m_entry_point():
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -246,8 +255,20 @@ def test_estimate_rejects_degenerate_samples(tmp_path, capsys, text, message):
 
 @pytest.mark.parametrize(
     "change",
-    [{"n_replications": 0}, {"sample_sizes": (1, 100)}, {"orders": (1, 2)}, {"d": 1}],
-    ids=["no-replications", "one-row-samples", "order-1", "one-dimension"],
+    [
+        {"n_replications": 0},
+        {"sample_sizes": (1, 100)},
+        {"orders": (1, 2)},
+        {"d": 1},
+        {"orders": (2,)},
+    ],
+    ids=[
+        "no-replications",
+        "one-row-samples",
+        "order-1",
+        "one-dimension",
+        "not-identifying",
+    ],
 )
 def test_run_study_rejects_bad_config(change):
     with pytest.raises(ValueError):
@@ -260,6 +281,7 @@ def test_run_study_rejects_bad_config(change):
         (["--reps", "0"], "replication"),
         (["--sizes", "1"], "sample sizes"),
         (["--d", "1"], "d >= 2"),
+        (["--orders", "2"], "do not identify"),
     ],
 )
 def test_study_bad_config_fails_cleanly(tmp_path, capsys, flags, message):
@@ -281,6 +303,23 @@ def test_no_subcommand_exits_with_usage():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_cli_defaults_are_study_config(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_run_study(config, log=None):
+        seen.append(config)
+        raise RuntimeError("stop after the config")
+
+    monkeypatch.setattr(cli, "run_study", fake_run_study)
+    assert main(["study", "--out-dir", str(tmp_path / "s")]) == 1
+    assert seen == [StudyConfig()]
+
+    args = build_parser().parse_args(["simulate", "-n", "1", "--out", "x"])
+    defaults = StudyConfig()
+    for name in ("d", "gamma", "rho", "lam", "mu", "nu"):
+        assert getattr(args, name) == getattr(defaults, name)
 
 
 def test_study_quick_runs_at_d5(tmp_path):

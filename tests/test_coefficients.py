@@ -215,6 +215,17 @@ def test_known_noise_check_validation():
     no_loops = DirectedGraph(2, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         known_noise_identifiability_check(no_loops, 3)
+    with pytest.raises(ValueError, match="trial"):
+        known_noise_identifiability_check(DirectedGraph.complete(2), 3, n_trials=-3)
+    # zero trials keeps meaning "closed-form certificate only"
+    report = known_noise_identifiability_check(DirectedGraph.complete(2), 3, n_trials=0)
+    assert report["ranks"] == [] and report["diagonal_certificate"]
+
+
+@pytest.mark.parametrize("n_trials", [0, -3])
+def test_generic_check_rejects_no_trials(n_trials):
+    with pytest.raises(ValueError, match="trial"):
+        generic_identifiability_check(DirectedGraph.complete(2), 3, n_trials=n_trials)
 
 
 def test_det_expansion_coefficient_binomial_case():
