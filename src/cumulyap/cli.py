@@ -168,7 +168,8 @@ def _write_svg_plot(path, result: StudyResult) -> None:
     }
     hline = result.asymptotic_rmse
     xs = np.log2(ns)
-    x0, x1 = xs.min(), xs.max()
+    # a single distinct sample size is centred in a span of 2
+    x0, x1 = (xs.min(), xs.max()) if np.ptp(xs) else (xs[0] - 1.0, xs[0] + 1.0)
     ymax = max(max(max(v) for v in series.values()), hline) * 1.1
 
     def px(x):
@@ -241,9 +242,19 @@ _MODEL_OPTIONS = {
 }
 
 
+def _int_list(text: str, option: str) -> list[int]:
+    try:
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise ValueError(f"{option} takes comma-separated integers, got {text!r}")
+    return values
+
+
 def _parse_orders(text: str) -> list[int]:
-    orders = sorted({int(tok) for tok in text.split(",") if tok.strip()})
-    if not orders or any(k < 2 for k in orders):
+    orders = sorted(set(_int_list(text, "--orders")))
+    if min(orders) < 2:
         raise ValueError("orders must be integers >= 2, e.g. '2,3'")
     return orders
 
@@ -377,7 +388,7 @@ def _cmd_identifiability(args) -> int:
 def _cmd_study(args) -> int:
     config = StudyConfig(
         **{name: getattr(args, name) for name in _MODEL_OPTIONS},
-        sample_sizes=tuple(int(tok) for tok in args.sizes.split(",")),
+        sample_sizes=tuple(_int_list(args.sizes, "--sizes")),
         n_replications=args.reps,
         orders=tuple(_parse_orders(args.orders)),
         seed=args.seed,

@@ -56,10 +56,6 @@ class DirectedGraph:
         obj = json.loads(text)
         return cls(int(obj["d"]), [(int(a) - 1, int(b) - 1) for a, b in obj["edges"]])
 
-    def to_json(self) -> str:
-        edges = sorted((a + 1, b + 1) for a, b in self.edges)
-        return json.dumps({"d": self.d, "edges": [list(e) for e in edges]})
-
     @classmethod
     def from_edge_list(cls, d: int, specs) -> "DirectedGraph":
         """Parse 1-based 'a->b' strings (e.g. from a CLI)."""
@@ -91,9 +87,6 @@ class DirectedGraph:
         for src, dst in self.edges:
             mask[dst, src] = True
         return mask
-
-    def out_neighbors(self, node: int) -> list[int]:
-        return sorted(b for a, b in self.edges if a == node and b != a)
 
     def __repr__(self) -> str:
         return f"DirectedGraph(d={self.d}, edges={sorted(self.edges)})"

@@ -45,6 +45,9 @@ class BetaJumps:
     mu: float
     nu: float
 
+    def __post_init__(self):
+        beta_raw_moment(self.mu, self.nu, 0)  # raises unless 0 < mu < 1 and nu > 0
+
     def raw_moment(self, k: int) -> float:
         return beta_raw_moment(self.mu, self.nu, k)
 

@@ -4,17 +4,12 @@ A symmetric tensor of order k over dimension d is determined by its entries at
 nondecreasing multi-indices. This module fixes one canonical enumeration of
 those indices (nondecreasing tuples in lexicographic order) and everything else
 in the package -- vectorisations, coefficient-matrix rows, cumulant vectors --
-is aligned with it.
-
-Index conventions: 0-based everywhere in code; the JSON form uses 1-based
-indices for human readability.
+is aligned with it. Indices are 0-based.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -22,7 +17,6 @@ import numpy as np
 __all__ = [
     "unique_indices",
     "canonical_index",
-    "multiplicity",
     "slot_replacements",
     "SymmetricTensor",
 ]
@@ -41,21 +35,6 @@ def unique_indices(d: int, k: int) -> tuple[tuple[int, ...], ...]:
 def canonical_index(index) -> tuple[int, ...]:
     """Sort a multi-index into its nondecreasing representative."""
     return tuple(sorted(index))
-
-
-def multiplicity(index) -> int:
-    """Number of distinct permutations of a multi-index.
-
-    This is the number of positions the entry occupies in the dense tensor:
-    k! / prod(count_i!) over the repetition counts.
-    """
-    counts = {}
-    for i in index:
-        counts[i] = counts.get(i, 0) + 1
-    out = math.factorial(len(tuple(index)))
-    for c in counts.values():
-        out //= math.factorial(c)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -135,10 +114,6 @@ class SymmetricTensor:
         """Unweighted vector of unique entries in canonical order."""
         return self.values.copy()
 
-    @classmethod
-    def from_vec_unique(cls, d: int, k: int, values) -> "SymmetricTensor":
-        return cls(d, k, np.asarray(values, dtype=float))
-
     def to_dense(self) -> np.ndarray:
         out = np.empty((self.d,) * self.k)
         for idx, v in zip(self.indices, self.values):
@@ -147,12 +122,11 @@ class SymmetricTensor:
         return out
 
     @classmethod
-    def from_dense(cls, arr: np.ndarray, symmetrize: bool = False) -> "SymmetricTensor":
-        """Read a dense tensor, checking (or averaging away) asymmetry.
+    def from_dense(cls, arr: np.ndarray) -> "SymmetricTensor":
+        """Read a dense tensor, checking its symmetry.
 
-        With symmetrize=False the entries across each permutation class must
-        agree to within SYMMETRY_TOL relative to the largest entry magnitude
-        (at least 1).
+        The entries across each permutation class must agree to within
+        SYMMETRY_TOL relative to the largest entry magnitude (at least 1).
         """
         arr = np.asarray(arr, dtype=float)
         d = arr.shape[0]
@@ -163,12 +137,9 @@ class SymmetricTensor:
         values = np.empty(len(unique_indices(d, k)))
         for p, idx in enumerate(unique_indices(d, k)):
             group = [arr[perm] for perm in set(itertools.permutations(idx))]
-            if symmetrize:
-                values[p] = float(np.mean(group))
-            else:
-                if max(group) - min(group) > SYMMETRY_TOL * scale:
-                    raise ValueError(f"tensor not symmetric at index class {idx}")
-                values[p] = float(arr[idx])
+            if max(group) - min(group) > SYMMETRY_TOL * scale:
+                raise ValueError(f"tensor not symmetric at index class {idx}")
+            values[p] = float(arr[idx])
         return cls(d, k, values)
 
     @classmethod
@@ -187,50 +158,6 @@ class SymmetricTensor:
             t[(i,) * k] = v
         return t
 
-    # -- arithmetic helpers (used by tests and the forward map) ----------
-
-    def __mul__(self, scalar: float) -> "SymmetricTensor":
-        return SymmetricTensor(self.d, self.k, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "SymmetricTensor") -> "SymmetricTensor":
-        if (self.d, self.k) != (other.d, other.k):
-            raise ValueError("shape mismatch")
-        return SymmetricTensor(self.d, self.k, self.values + other.values)
-
-    def allclose(self, other: "SymmetricTensor", rtol=1e-9, atol=1e-12) -> bool:
-        return (self.d, self.k) == (other.d, other.k) and np.allclose(
-            self.values, other.values, rtol=rtol, atol=atol
-        )
-
     def __repr__(self) -> str:
         return f"SymmetricTensor(d={self.d}, k={self.k}, nnz={np.count_nonzero(self.values)})"
 
-    # -- JSON (1-based indices, unique entries) ---------------------------
-
-    def to_json(self) -> str:
-        entries = [
-            [*(i + 1 for i in idx), float(v)]
-            for idx, v in zip(self.indices, self.values)
-            if v != 0.0
-        ]
-        return json.dumps({"d": self.d, "k": self.k, "entries": entries})
-
-    @classmethod
-    def from_json(cls, text: str) -> "SymmetricTensor":
-        obj = json.loads(text)
-        d, k = int(obj["d"]), int(obj["k"])
-        t = cls(d, k)
-        seen = set()
-        for entry in obj["entries"]:
-            if len(entry) != k + 1:
-                raise ValueError(f"entry {entry} should have {k} indices and a value")
-            idx = canonical_index(int(i) - 1 for i in entry[:-1])
-            if any(i < 0 or i >= d for i in idx):
-                raise ValueError(f"entry {entry} has indices outside 1..{d}")
-            if idx in seen:
-                raise ValueError(f"duplicate entry for index class {idx}")
-            seen.add(idx)
-            t[idx] = float(entry[-1])
-        return t

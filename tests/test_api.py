@@ -1,5 +1,8 @@
+import ast
 import importlib
+import inspect
 import pkgutil
+from pathlib import Path
 
 import cumulyap
 
@@ -35,3 +38,71 @@ def test_package_namespace_is_exports_and_modules():
     modules = {module.__name__.rsplit(".", 1)[1] for module in package_modules()}
     assert len(modules) == 8
     assert public == set(cumulyap.__all__) | modules
+
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def referenced_names() -> set[str]:
+    """Names used in the library, the benchmark or the acceptance gate.
+
+    A use is an `ast.Name` or `ast.Attribute` with that name anywhere except
+    inside a `def` of the same name, so recursion is not a use.
+    """
+    files = [
+        *(REPO / "src" / "cumulyap").glob("*.py"),
+        *(REPO / "perfbench").glob("*.py"),
+        REPO / "tests" / "test_acceptance.py",
+    ]
+    names: set[str] = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in enclosing:
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            names.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for path in files:
+        visit(ast.parse(path.read_text()), frozenset())
+    return names
+
+
+def public_callables(module):
+    """(label, name) of each function in the module's `__all__` and of each
+    public method or property of a class there; dunders are left out."""
+    kinds = (classmethod, staticmethod, property)
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if not inspect.isclass(obj):
+            if callable(obj):
+                yield name, name
+            continue
+        for attr, member in vars(obj).items():
+            if not attr.startswith("_") and (
+                inspect.isfunction(member) or isinstance(member, kinds)
+            ):
+                yield f"{name}.{attr}", attr
+
+
+def test_public_api_has_a_caller():
+    """Every public function, method and property is used outside the unit
+    tests: by the library, the benchmark or the acceptance gate.
+
+    Names are matched, not objects, so a name collision counts as a use (a
+    call of `np.allclose` would keep a method `allclose` alive, and
+    `StudyResult.to_json` keeps every `to_json`): the guard is permissive and
+    only catches names that appear nowhere.
+    """
+    used = referenced_names()
+    unused = [
+        f"{module.__name__}.{label}"
+        for module in package_modules()
+        for label, name in public_callables(module)
+        if name not in used
+    ]
+    assert not unused, f"public API with no caller outside the unit tests: {unused}"

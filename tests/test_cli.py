@@ -209,6 +209,19 @@ def test_study_quick_outputs(tmp_path):
         assert row["seconds"] > 0
 
 
+@pytest.mark.parametrize("sizes", ["100", "100,100"])
+def test_study_plot_with_one_sample_size(tmp_path, sizes):
+    out_dir = tmp_path / "study"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(
+            ["study", "--plots", "--sizes", sizes, "--reps", "2", "--out-dir", str(out_dir)]
+        )
+    assert code == 0
+    svg = (out_dir / "study.svg").read_text()
+    assert "nan" not in svg
+
+
 def test_missing_samples_file_fails_cleanly(tmp_path, capsys):
     code = main(["estimate", "--samples", str(tmp_path / "nope.csv")])
     assert code == 1
@@ -282,6 +295,9 @@ def test_run_study_rejects_bad_config(change):
         (["--sizes", "1"], "sample sizes"),
         (["--d", "1"], "d >= 2"),
         (["--orders", "2"], "do not identify"),
+        (["--sizes", "1000,abc"], "--sizes takes comma-separated integers"),
+        (["--sizes", ""], "--sizes takes comma-separated integers"),
+        (["--orders", "2,x"], "--orders takes comma-separated integers"),
     ],
 )
 def test_study_bad_config_fails_cleanly(tmp_path, capsys, flags, message):
@@ -297,6 +313,9 @@ def test_bad_orders_fail_cleanly(tmp_path, capsys):
     code = main(["estimate", "--samples", str(sim), "--orders", "1"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    code = main(["estimate", "--samples", str(sim), "--orders", "2,x"])
+    assert code == 1
+    assert "error: --orders takes comma-separated integers" in capsys.readouterr().err
 
 
 def test_no_subcommand_exits_with_usage():

@@ -170,7 +170,7 @@ def test_lyapunov_operator_matrix_matches_mode_products():
         K = SymmetricTensor(d, k, rng.normal(size=len(SymmetricTensor(d, k).values)))
         image = sum(n_mode_product(K.to_dense(), M, mode) for mode in range(k))
         lhs = lyapunov_operator_matrix(M, k) @ K.vec_unique()
-        rhs = SymmetricTensor.from_dense(image, symmetrize=True).vec_unique()
+        rhs = SymmetricTensor.from_dense(image).vec_unique()
         assert np.allclose(lhs, rhs)
 
 
@@ -209,7 +209,9 @@ def test_forward_map():
     )
     out = forward_map(params)
     assert sorted(out) == [2, 3]
-    assert out[2].allclose(solve_lyapunov(M, np.eye(2)))
+    assert np.allclose(
+        out[2].values, solve_lyapunov(M, np.eye(2)).values, rtol=1e-9, atol=1e-12
+    )
 
 
 def test_special_drift_matrix():
@@ -241,7 +243,8 @@ def test_trek_closed_form_matches_solver_on_a_tree():
     M = special_drift_matrix(g, r, zeta)
     for k in (2, r):
         expected = solve_lyapunov(M, SymmetricTensor.identity(4, k))
-        assert trek_closed_form(g, k, r, zeta).allclose(expected, rtol=1e-10)
+        got = trek_closed_form(g, k, r, zeta)
+        assert np.allclose(got.values, expected.values, rtol=1e-10, atol=1e-12)
 
 
 def test_trek_closed_form_needs_self_loops():

@@ -50,6 +50,9 @@ def test_two_point_jumps_validation():
         two_point_jumps(1.0, 1.0, 2)
     with pytest.raises(ValueError):
         two_point_jumps(1.0, 0.5, 4)  # even order below the power-mean floor
+    for mu, nu in [(0.0, 1.0), (1.0, 1.0), (0.5, 0.0), (0.5, -1.0), (float("nan"), 1.0)]:
+        with pytest.raises(ValueError, match="need 0 < mu < 1 and nu > 0"):
+            BetaJumps(mu, nu)
 
 
 def test_jump_law_samples_match_moments():

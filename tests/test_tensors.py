@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from cumulyap.tensors import (
     SymmetricTensor,
     canonical_index,
-    multiplicity,
     slot_replacements,
     unique_indices,
 )
@@ -37,18 +35,6 @@ def test_canonical_index_is_sorted_and_permutation_invariant(index):
     canon = canonical_index(index)
     assert canon == tuple(sorted(index))
     assert canonical_index(reversed(index)) == canon
-
-
-def test_multiplicity_counts_permutations():
-    assert multiplicity((0, 0, 0)) == 1
-    assert multiplicity((0, 1)) == 2
-    assert multiplicity((0, 1, 2)) == 6
-    assert multiplicity((0, 0, 1, 1)) == 6
-
-
-def test_multiplicities_cover_dense_tensor():
-    d, k = 3, 4
-    assert sum(multiplicity(i) for i in unique_indices(d, k)) == d**k
 
 
 def test_slot_replacements_table():
@@ -138,15 +124,13 @@ def test_dense_round_trip(d, k, data):
     for perm in itertools.permutations(range(k)):
         assert np.array_equal(dense, np.transpose(dense, perm))
     back = SymmetricTensor.from_dense(dense)
-    assert back.allclose(t, rtol=0, atol=0)
+    assert np.array_equal(back.values, t.values)
 
 
 def test_from_dense_rejects_asymmetry():
     arr = np.array([[0.0, 1.0], [2.0, 3.0]])
     with pytest.raises(ValueError):
         SymmetricTensor.from_dense(arr)
-    t = SymmetricTensor.from_dense(arr, symmetrize=True)
-    assert t[0, 1] == 1.5
 
 
 def test_identity_and_from_diagonal():
@@ -158,38 +142,9 @@ def test_identity_and_from_diagonal():
     assert s[0, 0, 0, 1] == 0.0
 
 
-def test_arithmetic_helpers():
-    a = SymmetricTensor(2, 2, np.array([1.0, 2.0, 3.0]))
-    b = SymmetricTensor(2, 2, np.array([0.5, 0.0, -1.0]))
-    assert np.array_equal((2 * a).vec_unique(), [2.0, 4.0, 6.0])
-    assert np.array_equal((a + b).vec_unique(), [1.5, 2.0, 2.0])
-    with pytest.raises(ValueError):
-        a + SymmetricTensor(2, 3)
-
-
 def test_vec_unique_round_trip():
-    t = SymmetricTensor.from_vec_unique(2, 3, [1.0, 2.0, 3.0, 4.0])
+    t = SymmetricTensor(2, 3, [1.0, 2.0, 3.0, 4.0])
     assert t[0, 1, 1] == 3.0
-    assert np.array_equal(
-        SymmetricTensor.from_vec_unique(2, 3, t.vec_unique()).vec_unique(),
-        t.vec_unique(),
-    )
+    back = SymmetricTensor(2, 3, t.vec_unique())
+    assert np.array_equal(back.vec_unique(), t.vec_unique())
 
-
-def test_json_round_trip_is_one_based():
-    t = SymmetricTensor(2, 3)
-    t[0, 1, 1] = 2.5
-    obj = json.loads(t.to_json())
-    assert obj == {"d": 2, "k": 3, "entries": [[1, 2, 2, 2.5]]}
-    back = SymmetricTensor.from_json(t.to_json())
-    assert back.allclose(t, rtol=0, atol=0)
-
-
-def test_json_rejects_bad_entries():
-    with pytest.raises(ValueError):
-        SymmetricTensor.from_json('{"d": 2, "k": 2, "entries": [[1, 1]]}')
-    with pytest.raises(ValueError):
-        SymmetricTensor.from_json('{"d": 2, "k": 2, "entries": [[1, 3, 1.0]]}')
-    text = '{"d": 2, "k": 2, "entries": [[1, 2, 1.0], [2, 1, 2.0]]}'
-    with pytest.raises(ValueError):
-        SymmetricTensor.from_json(text)
