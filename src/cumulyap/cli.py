@@ -15,6 +15,7 @@ import os
 import sys
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -96,7 +97,13 @@ def run_study(config: StudyConfig, log=None) -> StudyResult:
     chosen cumulant orders, and summarizes squared Frobenius errors against
     the true unit drift, alongside the delta-method asymptotic variance
     computed exactly from population cumulants. Each row also records the
-    wall time its sample size took, in seconds. Raises ValueError unless the
+    wall time its sample size took, in seconds. The replications run on a
+    pool of threads, one per core available to the process, created for
+    this call and joined before it returns; each replication has its own
+    seed stream and the results are summed in replication order, so every
+    row except `seconds` is the same bit for bit on any number of cores.
+    `log` is called on the calling thread, after each sample size's
+    replications have all finished. Raises ValueError unless the
     dimension is at least 2 (a unit-norm 1 x 1 drift has no error to study),
     there is at least one replication, every sample size is at least 2 and
     every order at least 2.
@@ -121,41 +128,55 @@ def run_study(config: StudyConfig, log=None) -> StudyResult:
     result = StudyResult(config=config, total_asymptotic_variance=total)
     log(f"asymptotic rmse {result.asymptotic_rmse:.3f}")
 
+    def replicate(n: int, seed: np.random.SeedSequence):
+        samples = sample_steady_state(M, levy, n, seed=seed)
+        return estimate_drift(empirical_cumulants(samples, orders))
+
     reps = config.n_replications
     streams = np.random.SeedSequence(config.seed).spawn(len(config.sample_sizes) * reps)
-    for i, n in enumerate(config.sample_sizes):
-        t0 = time.perf_counter()
-        estimates, sq_errors, gaps, stable = [], [], [], 0
-        for rep in range(reps):
-            seed = streams[i * reps + rep]
-            samples = sample_steady_state(M, levy, n, seed=seed)
-            est = estimate_drift(empirical_cumulants(samples, orders))
-            estimates.append(est.matrix)
-            sq_errors.append(float(np.sum((est.matrix - unit) ** 2)))
-            gaps.append(est.gap)
-            stable += est.stable
-        mse = float(np.mean(sq_errors))
-        mean_matrix = np.mean(estimates, axis=0)
-        bias_norm = float(np.linalg.norm(mean_matrix - unit))
-        row = {
-            "n": n,
-            "replications": reps,
-            "mse": mse,
-            "bias_norm": bias_norm,
-            "variance": mse - bias_norm**2,
-            "scaled_rmse": float(np.sqrt(n * mse)),
-            "scaled_bias": float(np.sqrt(n) * bias_norm),
-            "rmse_ratio": float(np.sqrt(n * mse) / result.asymptotic_rmse),
-            "stable_fraction": stable / reps,
-            "mean_gap": float(np.mean(gaps)),
-            "seconds": time.perf_counter() - t0,
-        }
-        result.rows.append(row)
-        log(
-            f"n={n}: scaled rmse {row['scaled_rmse']:.3f} "
-            f"(ratio {row['rmse_ratio']:.3f}) in {row['seconds']:.1f}s"
-        )
+    with ThreadPoolExecutor(max_workers=_available_cores()) as pool:
+        for i, n in enumerate(config.sample_sizes):
+            t0 = time.perf_counter()
+            seeds = streams[i * reps : (i + 1) * reps]
+            estimates, sq_errors, gaps, stable = [], [], [], 0
+            # map yields in replication order for any number of workers, so
+            # every sum below runs in the same order as a serial loop's
+            for est in pool.map(replicate, [n] * reps, seeds):
+                estimates.append(est.matrix)
+                sq_errors.append(float(np.sum((est.matrix - unit) ** 2)))
+                gaps.append(est.gap)
+                stable += est.stable
+            mse = float(np.mean(sq_errors))
+            mean_matrix = np.mean(estimates, axis=0)
+            bias_norm = float(np.linalg.norm(mean_matrix - unit))
+            row = {
+                "n": n,
+                "replications": reps,
+                "mse": mse,
+                "bias_norm": bias_norm,
+                "variance": mse - bias_norm**2,
+                "scaled_rmse": float(np.sqrt(n * mse)),
+                "scaled_bias": float(np.sqrt(n) * bias_norm),
+                "rmse_ratio": float(np.sqrt(n * mse) / result.asymptotic_rmse),
+                "stable_fraction": stable / reps,
+                "mean_gap": float(np.mean(gaps)),
+                "seconds": time.perf_counter() - t0,
+            }
+            result.rows.append(row)
+            # every replication of this size has finished: no worker is busy
+            log(
+                f"n={n}: scaled rmse {row['scaled_rmse']:.3f} "
+                f"(ratio {row['rmse_ratio']:.3f}) in {row['seconds']:.1f}s"
+            )
     return result
+
+
+def _available_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _write_svg_plot(path, result: StudyResult) -> None:
@@ -444,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     ident.add_argument(
         "--edges", nargs="+", help="edges as 1-based 'a->b' strings"
     )
-    ident.add_argument("--r", type=int, default=3, help="higher cumulant order")
+    ident.add_argument("--r", type=int, default=3, help="higher cumulant order, at least 3")
     ident.add_argument(
         "--method",
         choices=("generic", "known-noise", "witness"),

@@ -190,6 +190,14 @@ def random_sparse_model(graph: DirectedGraph, orders, rng) -> ModelParameters:
     return ModelParameters(M, noise)
 
 
+def _noise_order(r) -> int:
+    """The higher cumulant order r of a check, which needs r >= 3."""
+    r = int(r)
+    if r < 3:
+        raise ValueError("need noise order r >= 3")
+    return r
+
+
 def generic_identifiability_check(
     graph: DirectedGraph,
     r: int,
@@ -199,13 +207,15 @@ def generic_identifiability_check(
     """Monte Carlo generic-rank check of the stacked off-diagonal system.
 
     Draws random models respecting the graph, forms the off-diagonal system
-    for orders {2, r} with all d*d columns, and records its rank. The rank
-    can never exceed d*d minus the number of weakly connected components;
-    hitting that bound on most of n_trials >= 1 draws certifies the generic rank.
+    for orders {2, r}, r >= 3, with all d*d columns, and records its rank.
+    The rank can never exceed d*d minus the number of weakly connected
+    components; hitting that bound on most of n_trials >= 1 draws certifies
+    the generic rank.
     """
+    r = _noise_order(r)
     if n_trials < 1:
         raise ValueError(f"need at least 1 trial, got {n_trials}")
-    orders = sorted({2, int(r)})
+    orders = [2, r]
     d = graph.d
     expected = d * d - len(connected_components(graph))
     rng = np.random.default_rng(seed)
@@ -217,7 +227,7 @@ def generic_identifiability_check(
     return {
         "d": d,
         "edges": sorted([a + 1, b + 1] for a, b in graph.edges),
-        "r": int(r),
+        "r": r,
         "orders": orders,
         "trials": n_trials,
         "ranks": ranks,
@@ -244,9 +254,7 @@ def known_noise_identifiability_check(
     generically invertible for every graph with all self-loops. The report
     carries that closed-form certificate plus n_trials >= 0 random-draw ranks.
     """
-    r = int(r)
-    if r < 3:
-        raise ValueError("need noise order r >= 3")
+    r = _noise_order(r)
     if n_trials < 0:
         raise ValueError(f"need a nonnegative trial count, got {n_trials}")
     if not graph.has_all_self_loops():
@@ -342,8 +350,7 @@ def witness_lowest_coefficient_magnitude(d: int, r: int) -> Fraction:
 
 def _witness_layout(graph: DirectedGraph, r: int):
     """Topologically relabeled spanning polytree plus witness row/column labels."""
-    if int(r) < 3:
-        raise ValueError("need noise order r >= 3")
+    r = _noise_order(r)
     if not graph.has_all_self_loops():
         raise ValueError("the polytree witness needs all self-loops")
     polytree = spanning_polytree(graph)

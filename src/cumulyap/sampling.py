@@ -7,7 +7,10 @@ matrix exponential is negligible gives i.i.d. draws without time
 discretization. The jumps are mapped through an eigendecomposition of M in
 real arithmetic: one exponential per real eigenvalue and one per conjugate
 pair (the partner's term is its complex conjugate), real columns summed per
-draw with `np.bincount`, and one real product back to the state.
+draw with `np.bincount`, and one real product back to the state. A chunk's
+jumps are weighted in blocks of whole draws, at most BLOCK_JUMPS jumps each
+unless one draw has more, so a call's temporaries stay bounded however many
+jumps a chunk holds; the output does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
 
 TRUNCATION_TOL = 1e-12
 CHUNK_DRAWS = 32768
+BLOCK_JUMPS = 8192
 EIGENBASIS_COND_LIMIT = 1e8
 
 
@@ -196,9 +200,14 @@ def sample_steady_state(M: np.ndarray, levy: LevySpec, n: int, seed=None) -> np.
     2 Re(Q[:, l] z_l) from the exponential of its member with positive
     imaginary part alone. The real and imaginary parts of these weighted
     exponentials are summed per draw with `np.bincount` and mapped back to
-    the state by one real product. Draws are made in chunks of CHUNK_DRAWS,
-    each from its own stream spawned from `seed`, so the same seed and n
-    always reproduce the same array bit for bit.
+    the state by one real product per chunk. Draws are made in chunks of
+    CHUNK_DRAWS, chunk i from the stream SeedSequence(seed) would give as its
+    i-th spawned child; `seed` itself is left as it was, so the same seed and
+    n always reproduce the same array bit for bit. Each chunk draws all its
+    random numbers first and then weighs its jumps in blocks of whole draws
+    (see BLOCK_JUMPS), keeping each draw's jumps together and in order, so
+    the blocks change no bit of the result. Safe to call from several
+    threads at once.
     """
     M = np.asarray(M, dtype=float)
     d = M.shape[0]
@@ -226,10 +235,12 @@ def sample_steady_state(M: np.ndarray, levy: LevySpec, n: int, seed=None) -> np.
     )
 
     out = np.empty((n, d))
-    starts = list(range(0, n, CHUNK_DRAWS))
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    streams = root.spawn(len(starts))
-    for start, stream in zip(starts, streams):
+    for i, start in enumerate(range(0, n, CHUNK_DRAWS)):
+        # the child root.spawn would give, without advancing root's counter
+        stream = np.random.SeedSequence(
+            root.entropy, spawn_key=(*root.spawn_key, i), pool_size=root.pool_size
+        )
         m = min(CHUNK_DRAWS, n - start)
         rng = np.random.default_rng(stream)
         counts = rng.poisson(total_rate * horizon, size=m)
@@ -237,12 +248,22 @@ def sample_steady_state(M: np.ndarray, levy: LevySpec, n: int, seed=None) -> np.
         times = rng.uniform(0.0, horizon, total)
         coords = rng.choice(d, size=total, p=coord_probs)
         sizes = levy.jumps.sample(rng, total)
-        real_terms = np.exp(np.outer(real_rates, times)) * real_left[:, coords] * sizes
-        pair_terms = np.exp(np.outer(pair_rates, times)) * pair_left[:, coords] * sizes
-        draw = np.repeat(np.arange(m), counts)
-        sums = [
-            np.bincount(draw, column, minlength=m)
-            for column in (*real_terms, *pair_terms.real, *pair_terms.imag)
-        ]
-        out[start : start + m] = np.column_stack(sums) @ basis
+        ends = np.cumsum(counts)
+        sums = np.empty((m, basis.shape[0]))
+        lo = 0
+        while lo < m:
+            first = int(ends[lo] - counts[lo])
+            # the most whole draws that fit in BLOCK_JUMPS jumps, at least one
+            hi = max(lo + 1, int(np.searchsorted(ends, first + BLOCK_JUMPS, "right")))
+            jumps = slice(first, int(ends[hi - 1]))
+            t, c, s = times[jumps], coords[jumps], sizes[jumps]
+            real_terms = np.exp(np.outer(real_rates, t)) * real_left[:, c] * s
+            pair_terms = np.exp(np.outer(pair_rates, t)) * pair_left[:, c] * s
+            draw = np.repeat(np.arange(hi - lo), counts[lo:hi])
+            for col, column in enumerate(
+                (*real_terms, *pair_terms.real, *pair_terms.imag)
+            ):
+                sums[lo:hi, col] = np.bincount(draw, column, minlength=hi - lo)
+            lo = hi
+        out[start : start + m] = sums @ basis
     return out

@@ -5,7 +5,8 @@ the cumulant operator, the first-index-fastest vectorisation it acts on, a
 dense expansion of a symmetric tensor, a quadrature of the
 matrix-exponential integral form of the solution, the loop versions of
 the two unique-entry operators, the steady-state sampler's former
-complex-arithmetic kernel together with a replay of its random draws, and
+complex-arithmetic kernel and its former single-pass real kernel, together
+with a replay of its random draws, and
 the witness determinant's former route through exact rational evaluations
 on an integer grid and interpolation, the per-index set-partition loops of
 the cumulant layer (moments to cumulants and back, the cumulant Jacobian and
@@ -171,6 +172,36 @@ def complex_eigen_sampler(M, levy, n: int, seed=None):
         accum = np.zeros((m, M.shape[0]), dtype=weights.dtype)
         np.add.at(accum, np.repeat(np.arange(m), counts), weights)
         out[start : start + m] = (accum @ Q.T).real
+    return out
+
+
+def single_pass_real_sampler(M, levy, n: int, seed=None):
+    """sample_steady_state with the real kernel it had before it used blocks.
+
+    Same eigendecomposition, horizon, random draws and real columns; each
+    chunk weighs all its jumps at once and sums every column per draw with
+    one np.bincount over the whole chunk.
+    """
+    M = np.asarray(M, dtype=float)
+    delta, Q = np.linalg.eig(M)
+    Qinv = np.linalg.inv(Q)
+    real, upper = delta.imag == 0, delta.imag > 0
+    real_rates, real_left = delta[real].real, Qinv[real].real
+    pair_rates, pair_left = delta[upper], Qinv[upper]
+    basis = np.vstack(
+        [Q[:, real].real.T, 2.0 * Q[:, upper].real.T, -2.0 * Q[:, upper].imag.T]
+    )
+    out = np.empty((n, M.shape[0]))
+    for start, counts, times, coords, sizes in steady_state_jumps(M, levy, n, seed):
+        m = counts.size
+        real_terms = np.exp(np.outer(real_rates, times)) * real_left[:, coords] * sizes
+        pair_terms = np.exp(np.outer(pair_rates, times)) * pair_left[:, coords] * sizes
+        draw = np.repeat(np.arange(m), counts)
+        sums = [
+            np.bincount(draw, column, minlength=m)
+            for column in (*real_terms, *pair_terms.real, *pair_terms.imag)
+        ]
+        out[start : start + m] = np.column_stack(sums) @ basis
     return out
 
 

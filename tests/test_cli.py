@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -10,6 +11,15 @@ import pytest
 
 from cumulyap import cli, cumulants
 from cumulyap.cli import StudyConfig, _read_samples, build_parser, main, run_study
+from cumulyap.cumulants import empirical_cumulants, population_omega
+from cumulyap.estimation import asymptotic_covariance, estimate_drift
+from cumulyap.sampling import (
+    BetaJumps,
+    LevySpec,
+    population_state_cumulants,
+    sample_steady_state,
+    study_drift_matrix,
+)
 
 
 def strict_json(text):
@@ -163,6 +173,13 @@ def test_identifiability_witness_rejects_low_order(r, capsys):
     assert "r >= 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("r", ["0", "1"])
+def test_identifiability_generic_rejects_low_order(r, capsys):
+    args = ["identifiability", "--d", "2", "--edges", "1->1", "2->2", "1->2"]
+    assert main(args + ["--method", "generic", "--r", r]) == 1
+    assert capsys.readouterr().err == "error: need noise order r >= 3\n"
+
+
 @pytest.mark.parametrize(
     "method, trials", [("generic", "0"), ("known-noise", "-3")]
 )
@@ -207,6 +224,70 @@ def test_study_quick_outputs(tmp_path):
         for key in ("n", "scaled_rmse", "scaled_bias", "rmse_ratio", "stable_fraction", "seconds"):
             assert key in row
         assert row["seconds"] > 0
+
+
+def serial_study_rows(config):
+    """run_study's rows without `seconds`, from one plain loop on this thread."""
+    orders = sorted(config.orders)
+    M = study_drift_matrix(config.d, config.gamma, config.rho)
+    unit = M / np.linalg.norm(M)
+    levy = LevySpec(np.full(config.d, config.lam), BetaJumps(config.mu, config.nu))
+    population = population_state_cumulants(M, levy, range(1, 2 * max(orders) + 1))
+    omega = population_omega(population, orders)
+    total = asymptotic_covariance(M, omega.cumulants, omega.matrix).total
+    reps = config.n_replications
+    streams = np.random.SeedSequence(config.seed).spawn(len(config.sample_sizes) * reps)
+    rows = []
+    for i, n in enumerate(config.sample_sizes):
+        estimates, sq_errors, gaps, stable = [], [], [], 0
+        for seed in streams[i * reps : (i + 1) * reps]:
+            samples = sample_steady_state(M, levy, n, seed=seed)
+            est = estimate_drift(empirical_cumulants(samples, orders))
+            estimates.append(est.matrix)
+            sq_errors.append(float(np.sum((est.matrix - unit) ** 2)))
+            gaps.append(est.gap)
+            stable += est.stable
+        mse = float(np.mean(sq_errors))
+        bias_norm = float(np.linalg.norm(np.mean(estimates, axis=0) - unit))
+        rows.append(
+            {
+                "n": n,
+                "replications": reps,
+                "mse": mse,
+                "bias_norm": bias_norm,
+                "variance": mse - bias_norm**2,
+                "scaled_rmse": float(np.sqrt(n * mse)),
+                "scaled_bias": float(np.sqrt(n) * bias_norm),
+                "rmse_ratio": float(np.sqrt(n * mse) / np.sqrt(total)),
+                "stable_fraction": stable / reps,
+                "mean_gap": float(np.mean(gaps)),
+            }
+        )
+    return rows
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_run_study_threads_match_serial_loop(cores, monkeypatch):
+    # 1 worker is the serial path; 3 workers with a thread switch every
+    # microsecond interleave far more often than the workers of a real run
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    config = StudyConfig(sample_sizes=(300, 500), n_replications=7, orders=(2, 3), seed=5)
+    log_threads = []
+
+    def log(msg):
+        log_threads.append(threading.current_thread())
+
+    threads_before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = run_study(config, log=log)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads_before
+    assert log_threads == [threading.main_thread()] * 3
+    rows = [{k: v for k, v in row.items() if k != "seconds"} for row in result.rows]
+    assert rows == serial_study_rows(config)
 
 
 @pytest.mark.parametrize("sizes", ["100", "100,100"])

@@ -228,6 +228,12 @@ def test_generic_check_rejects_no_trials(n_trials):
         generic_identifiability_check(DirectedGraph.complete(2), 3, n_trials=n_trials)
 
 
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_generic_check_rejects_low_order(r):
+    with pytest.raises(ValueError, match="need noise order r >= 3"):
+        generic_identifiability_check(DirectedGraph.complete(2), r, n_trials=1)
+
+
 def test_det_expansion_coefficient_binomial_case():
     # at r = 2 the weight collapses to a plain binomial coefficient
     for d in range(2, 7):

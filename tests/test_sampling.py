@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from cumulyap import sampling
 from cumulyap.lyapunov import is_stable, solve_lyapunov
 from cumulyap.sampling import (
+    BLOCK_JUMPS,
     CHUNK_DRAWS,
     BetaJumps,
     ConstantJumps,
@@ -16,7 +18,7 @@ from cumulyap.sampling import (
     two_point_jumps,
 )
 from cumulyap.tensors import SymmetricTensor
-from oracles import complex_eigen_sampler, steady_state_jumps
+from oracles import complex_eigen_sampler, single_pass_real_sampler, steady_state_jumps
 
 
 def two_point_moment(law, k):
@@ -177,6 +179,24 @@ def test_sampler_accepts_seed_sequence():
     assert np.array_equal(X1, X2)
 
 
+def test_sampler_leaves_seed_sequence_unchanged():
+    M = study_drift_matrix(2, 4.0, 0.3)
+    levy = LevySpec(np.array([0.5, 0.5]), ConstantJumps(1.0))
+    n = CHUNK_DRAWS + 1  # two chunk streams
+
+    def child():  # a spawned seed, as run_study passes
+        return np.random.SeedSequence(44).spawn(2)[1]
+
+    seed = child()
+    X1 = sample_steady_state(M, levy, n, seed=seed)
+    X2 = sample_steady_state(M, levy, n, seed=seed)
+    assert seed.n_children_spawned == 0
+    assert np.array_equal(X1, X2)
+    assert np.array_equal(X1, sample_steady_state(M, levy, n, seed=child()))
+    # the oracle draws from a fresh seed's first spawn
+    assert np.array_equal(X1, single_pass_real_sampler(M, levy, n, seed=child()))
+
+
 STUDY_LEVY_3 = LevySpec(np.full(3, 0.5), BetaJumps(0.8, 1.0))
 
 # (drift, noise, n); the study drifts have one real eigenvalue plus one
@@ -194,6 +214,11 @@ ORACLE_CASES = {
         3000,
     ),
     "two-chunks": (study_drift_matrix(3, 10.0, 0.2), STUDY_LEVY_3, CHUNK_DRAWS + 1),
+    "two-chunks-d5": (
+        study_drift_matrix(5, 10.0, 0.2),
+        LevySpec(np.full(5, 0.5), BetaJumps(0.8, 1.0)),
+        CHUNK_DRAWS + 1,
+    ),
     "constant-jumps-zero-rate": (
         study_drift_matrix(3, 10.0, 0.2),
         LevySpec(np.array([0.5, 0.0, 1.0]), ConstantJumps(1.5)),
@@ -217,6 +242,33 @@ def test_sampler_matches_complex_kernel_draw_for_draw(case):
     assert np.all(scale > 0)
     # each draw within 1e-12 of its own size: the kernels differ only in rounding
     assert np.all(np.max(np.abs(X - ref), axis=1) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_blocked_kernel_equals_single_pass_kernel(case):
+    M, levy, n = ORACLE_CASES[case]
+    chunk_jumps = [counts.sum() for _, counts, *_ in steady_state_jumps(M, levy, n, 45)]
+    # every case's first chunk spans several blocks
+    assert chunk_jumps[0] > BLOCK_JUMPS
+    X = sample_steady_state(M, levy, n, seed=45)
+    assert np.array_equal(X, single_pass_real_sampler(M, levy, n, seed=45))
+
+
+@pytest.mark.parametrize("block_jumps", [1, 2, 3])
+def test_blocked_kernel_exact_around_draws_without_jumps(block_jumps, monkeypatch):
+    M = study_drift_matrix(3, 10.0, 0.2)
+    levy = LevySpec(np.array([0.05, 0.0, 0.1]), BetaJumps(0.8, 1.0))
+    n = 2000
+    counts = np.concatenate([c for _, c, *_ in steady_state_jumps(M, levy, n, seed=47)])
+    # empty draws next to draws with jumps, and draws larger than a block,
+    # so some block boundaries sit beside an empty draw and some blocks hold
+    # a single draw over the limit or only empty draws
+    assert np.any((counts[:-1] == 0) & (counts[1:] > 0))
+    assert np.any((counts[:-1] > 0) & (counts[1:] == 0))
+    assert np.any(counts > block_jumps)
+    monkeypatch.setattr(sampling, "BLOCK_JUMPS", block_jumps)
+    X = sample_steady_state(M, levy, n, seed=47)
+    assert np.array_equal(X, single_pass_real_sampler(M, levy, n, seed=47))
 
 
 def test_sampler_draw_without_jumps_is_exact_zero():
