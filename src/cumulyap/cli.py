@@ -311,7 +311,7 @@ def _read_samples(path) -> np.ndarray:
     except ValueError:
         skip = 1
     with warnings.catch_warnings():
-        # no data rows is reported by the caller as "need at least 2 samples"
+        # no data rows is reported by estimate_omega as "need at least 2 samples"
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         return np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
 
@@ -340,11 +340,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     samples = _read_samples(args.samples)
-    n = samples.shape[0]
-    if n < 2:
-        raise ValueError(f"{args.samples}: need at least 2 samples, got {n}")
-    if not np.all(np.isfinite(samples)):
-        raise ValueError(f"{args.samples}: samples contain NaN or infinite values")
     orders = _parse_orders(args.orders)
     omega = estimate_omega(samples, orders)
     est = estimate_drift(omega.cumulants)
@@ -353,7 +348,7 @@ def _cmd_estimate(args) -> int:
         args,
         {
             "d": samples.shape[1],
-            "n": int(n),
+            "n": samples.shape[0],
             "orders": orders,
             "m_hat": est.matrix.tolist(),
             "sigma_min": est.sigma_min,

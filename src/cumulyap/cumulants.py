@@ -12,12 +12,21 @@ without the signs. partition_table(d, k) holds those sums for every order-k
 index once, as integer arrays of stacked positions; cumulants from moments,
 moments from cumulants and the Jacobian of the cumulants are each a few
 vectorised operations over it.
+
+On the data side, the estimators need only the means of the monomial
+features x_v = prod_i x_{v_i} and, for the delta method, their covariance.
+Both come from one pass over the samples in blocks of BLOCK_ROWS rows: each
+block's features are built as prefix products (an order-j feature is its
+order-(j-1) prefix times one column, after the cached _prefix_table) and
+folded into shifted sums and cross-products, so no (n, features) matrix is
+ever held.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -37,6 +46,9 @@ __all__ = [
     "beta_raw_moment",
     "compound_poisson_cumulants",
 ]
+
+# rows of samples whose features are built and folded into the moments at once
+BLOCK_ROWS = 4096
 
 
 @lru_cache(maxsize=None)
@@ -148,18 +160,84 @@ def _cumulants_at(means: np.ndarray, d: int, orders) -> dict[int, SymmetricTenso
     return {k: SymmetricTensor(d, k, _partition_sum(means, d, k, True)) for k in orders}
 
 
+@lru_cache(maxsize=None)
+def _prefix_table(d: int, max_order: int) -> np.ndarray:
+    """(parent, last) of every monomial feature, in stacked order.
+
+    The feature of an order-j index (i_1, ..., i_j) is the feature of its
+    prefix (i_1, ..., i_{j-1}) times column i_j: row r holds the prefix's
+    stacked position, which comes before r (-1 for order 1, whose prefix is
+    empty), and i_j, which is also the position of that column's feature.
+    Read-only, since every caller shares it.
+    """
+    labels = [idx for _, idx in stacked_labels(d, range(1, max_order + 1))]
+    position = {idx: r for r, idx in enumerate(labels)}
+    table = np.array(
+        [(position.get(idx[:-1], -1), idx[-1]) for idx in labels], dtype=np.intp
+    )
+    table.flags.writeable = False
+    return table
+
+
 def _feature_matrix(samples: np.ndarray, max_order: int) -> np.ndarray:
-    """Monomial features x_v, in stacked order over orders 1..max_order."""
-    labels = stacked_labels(samples.shape[1], range(1, max_order + 1))
-    return np.column_stack([np.prod(samples[:, list(idx)], axis=1) for _, idx in labels])
+    """Monomial features of a block of rows, transposed: (features, rows).
+
+    Features are in stacked order over orders 1..max_order, each the product
+    of two earlier rows (see _prefix_table), so every product reads and
+    writes contiguous rows.
+    """
+    d = samples.shape[1]
+    table = _prefix_table(d, max_order)
+    out = np.empty((len(table), samples.shape[0]))
+    out[:d] = samples.T
+    for r, (parent, last) in enumerate(table[d:].tolist(), d):
+        np.multiply(out[parent], out[last], out=out[r])
+    return out
+
+
+def _feature_moments(samples, max_order: int, covariance: bool):
+    """Means of the monomial features and, if asked, their sample covariance.
+
+    One pass over blocks of BLOCK_ROWS rows. With c the first block's means
+    and s the sum over rows of x - c, the means are c + s / n and the
+    covariance is (sum (x - c)(x - c)^T - s s^T / n) / (n - 1): shifting by
+    c keeps the precision of a two-pass covariance when the means are large
+    against the spread (Chan, Golub & LeVeque 1979). The covariance is None
+    when not asked for. Every buffer is local, so threads may call this
+    concurrently.
+    """
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2:
+        raise ValueError(f"samples must be an (n, d) array, got shape {samples.shape}")
+    n = samples.shape[0]
+    if n < 2:
+        raise ValueError(f"need at least 2 samples, got {n}")
+    if not np.isfinite(samples).all():
+        raise ValueError("samples contain NaN or infinite values")
+    blocks = (
+        _feature_matrix(samples[start : start + BLOCK_ROWS], max_order)
+        for start in range(0, n, BLOCK_ROWS)
+    )
+    first = next(blocks)
+    shift = first.mean(axis=1)
+    sums = np.zeros_like(shift)
+    cross = np.zeros((shift.size, shift.size)) if covariance else None
+    for block in chain([first], blocks):
+        block -= shift[:, None]
+        sums += block.sum(axis=1)
+        if covariance:
+            cross += block @ block.T
+    means = shift + sums / n
+    if not covariance:
+        return means, None
+    return means, (cross - np.outer(sums, sums) / n) / (n - 1)
 
 
 def empirical_cumulants(samples: np.ndarray, orders) -> dict[int, SymmetricTensor]:
     """k-statistics-free plug-in cumulant tensors of the sample, by order."""
-    samples = np.asarray(samples, dtype=float)
     orders = sorted(int(k) for k in orders)
-    means = _feature_matrix(samples, max(orders)).mean(axis=0)
-    return _cumulants_at(means, samples.shape[1], orders)
+    means, _ = _feature_moments(samples, max(orders), covariance=False)
+    return _cumulants_at(means, np.shape(samples)[1], orders)
 
 
 def stacked_labels(d: int, orders) -> list[tuple[int, tuple[int, ...]]]:
@@ -215,12 +293,9 @@ def estimate_omega(samples: np.ndarray, orders) -> OmegaEstimate:
     returned is scaled for sqrt(n)-normalized errors (divide by n for the
     covariance of the plug-in estimate itself).
     """
-    samples = np.asarray(samples, dtype=float)
-    d = samples.shape[1]
     orders = sorted(int(k) for k in orders)
-    F = _feature_matrix(samples, max(orders))
-    means = F.mean(axis=0)
-    S = np.atleast_2d(np.cov(F, rowvar=False, ddof=1))
+    means, S = _feature_moments(samples, max(orders), covariance=True)
+    d = np.shape(samples)[1]
     J = _cumulant_jacobian(means, d, orders)
     return OmegaEstimate(
         matrix=J @ S @ J.T,

@@ -53,8 +53,23 @@ class DirectedGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "DirectedGraph":
+        """Parse {"d": int, "edges": [[a, b], ...]} with 1-based nodes."""
         obj = json.loads(text)
-        return cls(int(obj["d"]), [(int(a) - 1, int(b) - 1) for a, b in obj["edges"]])
+
+        def is_int(value) -> bool:
+            return isinstance(value, int) and not isinstance(value, bool)
+
+        if not (
+            isinstance(obj, dict)
+            and is_int(obj.get("d"))
+            and isinstance(obj.get("edges"), list)
+            and all(
+                isinstance(e, list) and len(e) == 2 and all(map(is_int, e))
+                for e in obj["edges"]
+            )
+        ):
+            raise ValueError('graph JSON must be {"d": int, "edges": [[a, b], ...]}')
+        return cls(obj["d"], [(a - 1, b - 1) for a, b in obj["edges"]])
 
     @classmethod
     def from_edge_list(cls, d: int, specs) -> "DirectedGraph":

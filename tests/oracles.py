@@ -10,8 +10,10 @@ with a replay of its random draws, and
 the witness determinant's former route through exact rational evaluations
 on an integer grid and interpolation, the per-index set-partition loops of
 the cumulant layer (moments to cumulants and back, the cumulant Jacobian and
-the population covariance built on them), a nonparametric bootstrap of that
-covariance, and the n-mode product of a dense tensor with a matrix.
+the population covariance built on them), the full (n, features) monomial
+feature matrix with its means and np.cov covariance, a nonparametric
+bootstrap of that covariance, and the n-mode product of a dense tensor with
+a matrix.
 """
 
 from collections import Counter
@@ -344,6 +346,23 @@ def population_omega_loop(cumulants, orders) -> np.ndarray:
     means = {idx: moment(idx) for idx in feat_labels}
     J = cumulant_jacobian_loop(stacked_labels(d, orders), feat_labels, means)
     return J @ S @ J.T
+
+
+def feature_matrix_full(samples: np.ndarray, max_order: int, dtype=float) -> np.ndarray:
+    """Monomial features of every row, (n, features) in stacked order.
+
+    One product over a fancy-index copy of the sample per feature, in
+    `dtype` arithmetic.
+    """
+    samples = np.asarray(samples, dtype=dtype)
+    labels = stacked_labels(samples.shape[1], range(1, max_order + 1))
+    return np.column_stack([np.prod(samples[:, list(idx)], axis=1) for _, idx in labels])
+
+
+def feature_moments_full(samples: np.ndarray, max_order: int):
+    """Means and np.cov sample covariance of the full feature matrix."""
+    F = feature_matrix_full(samples, max_order)
+    return F.mean(axis=0), np.atleast_2d(np.cov(F, rowvar=False, ddof=1))
 
 
 def empirical_raw_moment(samples: np.ndarray, index) -> float:

@@ -166,6 +166,17 @@ def test_identifiability_witness_single_node(tmp_path):
     assert report["verdict"] == "maximal rank"
 
 
+@pytest.mark.parametrize(
+    "text", ["[[1, 2]]", '{"d": 2, "edges": 5}', '{"d": 2, "edges": [[1, 2, 3]]}']
+)
+def test_identifiability_rejects_malformed_graph_json(tmp_path, capsys, text):
+    graph = tmp_path / "g.json"
+    graph.write_text(text)
+    assert main(["identifiability", "--graph", str(graph)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph JSON must be {") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("r", ["1", "2"])
 def test_identifiability_witness_rejects_low_order(r, capsys):
     args = ["identifiability", "--d", "2", "--edges", "1->1", "2->2", "1->2"]

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cumulyap import cumulants
 from cumulyap.cumulants import (
+    BLOCK_ROWS,
     OmegaEstimate,
     beta_raw_moment,
     compound_poisson_cumulants,
@@ -18,7 +22,12 @@ from cumulyap.cumulants import (
     stack_unique,
     stacked_labels,
 )
-from cumulyap.cumulants import _cumulant_jacobian, _partition_sum
+from cumulyap.cumulants import (
+    _cumulant_jacobian,
+    _feature_moments,
+    _partition_sum,
+    _prefix_table,
+)
 from cumulyap.sampling import (
     BetaJumps,
     LevySpec,
@@ -30,6 +39,8 @@ from oracles import (
     bootstrap_omega,
     cumulant_from_moments,
     empirical_raw_moment,
+    feature_matrix_full,
+    feature_moments_full,
     moment_from_cumulants,
     population_omega_loop,
 )
@@ -271,3 +282,104 @@ def test_estimate_omega_approaches_population_omega():
     )
     emp = estimate_omega(X, [2])
     assert np.allclose(np.diag(emp.matrix), np.diag(pop.matrix), rtol=0.1)
+
+
+def test_prefix_table_is_shared_and_read_only():
+    table = _prefix_table(3, 4)
+    assert _prefix_table(3, 4) is table
+    labels = [idx for _, idx in stacked_labels(3, range(1, 5))]
+    assert len(table) == len(labels)
+    for r, (parent, last) in enumerate(table):
+        prefix = () if parent < 0 else labels[parent]
+        assert parent < r and prefix + (last,) == labels[r]
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+
+
+def _block_cases():
+    for rows in (1, 2, 3, BLOCK_ROWS):
+        for n in sorted({2, rows - 1, rows, rows + 1, 3 * rows + 7}):
+            if n >= 2:
+                yield rows, n
+
+
+@pytest.mark.parametrize("rows, n", list(_block_cases()))
+def test_feature_moments_match_full_matrix_oracle(rows, n, monkeypatch):
+    monkeypatch.setattr(cumulants, "BLOCK_ROWS", rows)
+    X = np.random.default_rng(n).exponential(size=(n, 3))
+    want_means, want_cov = feature_moments_full(X, 3)
+    means, cov = _feature_moments(X, 3, covariance=True)
+    assert np.linalg.norm(means - want_means) <= 1e-12 * np.linalg.norm(want_means)
+    assert np.linalg.norm(cov - want_cov) <= 1e-12 * np.linalg.norm(want_cov)
+    only_means, no_cov = _feature_moments(X, 3, covariance=False)
+    assert no_cov is None and np.array_equal(only_means, means)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, BLOCK_ROWS])
+def test_feature_moments_hold_precision_under_offset(rows, monkeypatch):
+    # features of order 3 near 1e12 with a spread near 3e8: an unshifted
+    # one-pass covariance loses about 1e-8 relative, a two-pass one does not
+    monkeypatch.setattr(cumulants, "BLOCK_ROWS", rows)
+    X = np.random.default_rng(18).exponential(size=(1000, 3)) + 1e4
+    F = feature_matrix_full(X, 3, dtype=np.longdouble)
+    exact_means = F.mean(axis=0)
+    centred = F - exact_means
+    exact_cov = centred.T @ centred / (len(X) - 1)
+
+    def error(got, want):
+        return float(np.linalg.norm((got - want).astype(float)) / np.linalg.norm(want))
+
+    np_means, np_cov = feature_moments_full(X, 3)
+    means, cov = _feature_moments(X, 3, covariance=True)
+    assert error(cov, exact_cov) <= 4 * error(np_cov, exact_cov)
+    assert error(means, exact_means) <= 4 * error(np_means, exact_means)
+
+
+@pytest.mark.parametrize(
+    "rows, n",
+    [(64, 2), (64, 63), (64, 64), (64, 65), (64, 200), (BLOCK_ROWS, 2 * BLOCK_ROWS + 1)],
+)
+def test_estimate_omega_builds_each_block_once(rows, n, monkeypatch):
+    monkeypatch.setattr(cumulants, "BLOCK_ROWS", rows)
+    calls = []
+    build = cumulants._feature_matrix
+
+    def counted(block, max_order):
+        calls.append(len(block))
+        return build(block, max_order)
+
+    monkeypatch.setattr(cumulants, "_feature_matrix", counted)
+    estimate_omega(np.random.default_rng(n).exponential(size=(n, 2)), [2, 3])
+    assert len(calls) == math.ceil(n / rows) and sum(calls) == n
+
+
+def test_estimate_omega_memory_stays_below_feature_matrix():
+    X = np.random.default_rng(19).exponential(size=(100_000, 5))
+    full_bytes = X.shape[0] * len(stacked_labels(5, range(1, 4))) * 8
+    tracemalloc.start()
+    try:
+        estimate_omega(X, [2, 3])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_bytes / 4
+
+
+@pytest.mark.parametrize("estimator", [empirical_cumulants, estimate_omega])
+@pytest.mark.parametrize(
+    "samples, message",
+    [
+        (np.ones(5), r"\(n, d\) array"),
+        (np.ones((2, 2, 2)), r"\(n, d\) array"),
+        (np.empty((0, 2)), "need at least 2 samples, got 0"),
+        (np.ones((1, 2)), "need at least 2 samples, got 1"),
+        ([[1.0, np.nan], [0.5, 0.2]], "NaN or infinite"),
+        ([[1.0, 2.0], [-np.inf, 0.2]], "NaN or infinite"),
+    ],
+    ids=["1-d", "3-d", "no-rows", "one-row", "nan", "inf"],
+)
+def test_moment_estimators_reject_bad_samples(estimator, samples, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning ahead of the error
+        with pytest.raises(ValueError, match=message):
+            estimator(samples, [2, 3])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,26 @@ def test_complete_graph():
 def test_json_round_trip_one_based():
     g = DirectedGraph.from_json('{"d": 3, "edges": [[1, 2], [3, 3]]}')
     assert g == DirectedGraph(3, [(0, 1), (2, 2)])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[[1, 2]]",
+        '{"edges": [[1, 2]]}',
+        '{"d": "3", "edges": [[1, 2]]}',
+        '{"d": true, "edges": []}',
+        '{"d": 3, "edges": 5}',
+        '{"d": 3, "edges": [[1, 2, 3]]}',
+        '{"d": 3, "edges": [[1]]}',
+        '{"d": 3, "edges": [[1, 2.5]]}',
+        '{"d": 3, "edges": ["12"]}',
+    ],
+)
+def test_from_json_rejects_other_shapes(text):
+    form = re.escape('{"d": int, "edges": [[a, b], ...]}')
+    with pytest.raises(ValueError, match=form):
+        DirectedGraph.from_json(text)
 
 
 def test_from_edge_list():
