@@ -25,12 +25,13 @@ from .coefficients import (
     known_noise_identifiability_check,
     polytree_rank_witness,
 )
-from .cumulants import empirical_cumulants, estimate_omega, population_omega
+from .cumulants import BLOCK_ROWS, empirical_cumulants, estimate_omega, population_omega
 from .estimation import asymptotic_covariance, estimate_drift
 from .graphs import DirectedGraph
 from .sampling import (
     BetaJumps,
     LevySpec,
+    _available_cores,
     population_state_cumulants,
     sample_steady_state,
     study_drift_matrix,
@@ -171,14 +172,6 @@ def run_study(config: StudyConfig, log=None) -> StudyResult:
     return result
 
 
-def _available_cores() -> int:
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _write_svg_plot(path, result: StudyResult) -> None:
     """Minimal self-contained SVG: scaled errors against sample size."""
     width, height, margin = 640, 420, 60
@@ -301,8 +294,8 @@ def _load_drift(args) -> np.ndarray:
 
 
 def _read_samples(path) -> np.ndarray:
-    # a header is a first line that does not parse as numbers; np.savetxt
-    # writes an "e" into every number, so letters alone do not mark one
+    # a header is a first line that does not parse as numbers; numbers may
+    # hold letters too ("1e-05", "inf", "nan"), so letters alone do not mark one
     with open(path) as fh:
         first = fh.readline()
     try:
@@ -314,6 +307,22 @@ def _read_samples(path) -> np.ndarray:
         # no data rows is reported by estimate_omega as "need at least 2 samples"
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         return np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+
+
+def _write_samples(path, samples: np.ndarray) -> None:
+    """CSV with an x1,...,xd header line, then one line per draw.
+
+    Each number has 17 significant digits, so it reads back as the same
+    double; BLOCK_ROWS rows are formatted at a time, by one % over a
+    template of that many lines.
+    """
+    n, d = samples.shape
+    line = ",".join(["%.17g"] * d) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(f"x{i + 1}" for i in range(d)) + "\n")
+        for start in range(0, n, BLOCK_ROWS):
+            block = samples[start : start + BLOCK_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_json(args, payload: dict) -> None:
@@ -332,8 +341,7 @@ def _cmd_simulate(args) -> int:
     M = _load_drift(args)
     levy = LevySpec(np.full(M.shape[0], args.lam), BetaJumps(args.mu, args.nu))
     samples = sample_steady_state(M, levy, args.n, seed=args.seed)
-    header = ",".join(f"x{i + 1}" for i in range(samples.shape[1]))
-    np.savetxt(args.out, samples, delimiter=",", header=header, comments="")
+    _write_samples(args.out, samples)
     print(f"wrote {samples.shape[0]} draws of dimension {samples.shape[1]} to {args.out}")
     return 0
 

@@ -40,7 +40,10 @@ class DirectedGraph:
     edges: frozenset[tuple[int, int]]
 
     def __init__(self, d: int, edges):
-        object.__setattr__(self, "d", int(d))
+        d = int(d)
+        if d < 1:
+            raise ValueError(f"a graph needs at least one node, got d={d}")
+        object.__setattr__(self, "d", d)
         es = frozenset((int(a), int(b)) for a, b in edges)
         for a, b in es:
             if not (0 <= a < d and 0 <= b < d):

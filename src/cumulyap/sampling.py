@@ -10,11 +10,18 @@ pair (the partner's term is its complex conjugate), real columns summed per
 draw with `np.bincount`, and one real product back to the state. A chunk's
 jumps are weighted in blocks of whole draws, at most BLOCK_JUMPS jumps each
 unless one draw has more, so a call's temporaries stay bounded however many
-jumps a chunk holds; the output does not depend on the block size.
+jumps a chunk holds; the output does not depend on the block size. Draws are
+made in chunks of CHUNK_DRAWS, each from its own seed stream and into its own
+rows, on the calling thread plus one helper thread per further available core
+(at most one per further chunk); a one-chunk call starts no thread, and the
+output does not depend on the number of cores.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,8 +213,13 @@ def sample_steady_state(M: np.ndarray, levy: LevySpec, n: int, seed=None) -> np.
     n always reproduce the same array bit for bit. Each chunk draws all its
     random numbers first and then weighs its jumps in blocks of whole draws
     (see BLOCK_JUMPS), keeping each draw's jumps together and in order, so
-    the blocks change no bit of the result. Safe to call from several
-    threads at once.
+    the blocks change no bit of the result. The chunks run on the calling
+    thread plus min(cores, chunks) - 1 helper threads, started for this call
+    and joined before it returns, each chunk writing only its own rows: a
+    call with one chunk (n <= CHUNK_DRAWS) or on one core starts no thread,
+    and the array is the same bit for bit on any number of cores. Safe to
+    call from several threads at once; each such call may start its own
+    helpers.
     """
     M = np.asarray(M, dtype=float)
     d = M.shape[0]
@@ -236,11 +248,13 @@ def sample_steady_state(M: np.ndarray, levy: LevySpec, n: int, seed=None) -> np.
 
     out = np.empty((n, d))
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    for i, start in enumerate(range(0, n, CHUNK_DRAWS)):
+
+    def draw_chunk(i: int) -> None:
         # the child root.spawn would give, without advancing root's counter
         stream = np.random.SeedSequence(
             root.entropy, spawn_key=(*root.spawn_key, i), pool_size=root.pool_size
         )
+        start = i * CHUNK_DRAWS
         m = min(CHUNK_DRAWS, n - start)
         rng = np.random.default_rng(stream)
         counts = rng.poisson(total_rate * horizon, size=m)
@@ -266,4 +280,45 @@ def sample_steady_state(M: np.ndarray, levy: LevySpec, n: int, seed=None) -> np.
                 sums[lo:hi, col] = np.bincount(draw, column, minlength=hi - lo)
             lo = hi
         out[start : start + m] = sums @ basis
+
+    _run_chunks(draw_chunk, -(-n // CHUNK_DRAWS))
     return out
+
+
+def _available_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_chunks(draw_chunk, chunks: int) -> None:
+    """Call draw_chunk(i) once for each i in range(chunks).
+
+    The calling thread works through the chunks together with
+    min(cores, chunks) - 1 helper threads, created here and joined before
+    return; each thread takes the next index from one shared iterator until
+    none are left. One chunk, or one core, starts no thread. An exception
+    raised by any chunk is raised here, after every thread has stopped.
+    """
+    indices = iter(range(chunks))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = next(indices, None)
+            if i is None:
+                return
+            draw_chunk(i)
+
+    helpers = min(_available_cores(), chunks) - 1
+    if helpers < 1:
+        work()
+        return
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        work()
+        for future in futures:
+            future.result()

@@ -56,6 +56,45 @@ def test_simulate_accepts_drift_file(tmp_path):
     assert np.loadtxt(out, delimiter=",", skiprows=1).shape == (20, 2)
 
 
+def study_model(d):
+    """Drift and noise simulate builds from StudyConfig's defaults at dimension d."""
+    c = StudyConfig()
+    M = study_drift_matrix(d, c.gamma, c.rho)
+    return M, LevySpec(np.full(d, c.lam), BetaJumps(c.mu, c.nu))
+
+
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_simulate_csv_reads_back_bit_for_bit(tmp_path, d, offset):
+    n = cumulants.BLOCK_ROWS + offset
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--d", str(d), "-n", str(n), "--seed", "21", "--out", str(out)]) == 0
+    with open(out) as fh:
+        assert fh.readline() == ",".join(f"x{i + 1}" for i in range(d)) + "\n"
+    X = _read_samples(out)
+    assert X.shape == (n, d)
+    assert np.array_equal(X, sample_steady_state(*study_model(d), n, seed=21))
+
+
+def test_simulate_zero_draws_writes_header_alone(tmp_path):
+    out = tmp_path / "empty.csv"
+    assert main(["simulate", "--d", "3", "-n", "0", "--seed", "1", "--out", str(out)]) == 0
+    assert out.read_text() == "x1,x2,x3\n"
+
+
+def test_estimate_same_on_savetxt_copy(tmp_path):
+    sim, copy = tmp_path / "sim.csv", tmp_path / "copy.csv"
+    assert main(["simulate", "--d", "3", "-n", "3000", "--seed", "22", "--out", str(sim)]) == 0
+    X = _read_samples(sim)
+    np.savetxt(copy, X, delimiter=",", header="x1,x2,x3", comments="")  # "%.18e"
+    reports = []
+    for path in (sim, copy):
+        out = tmp_path / f"{path.stem}.json"
+        assert main(["estimate", "--samples", str(path), "--out", str(out)]) == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
+
+
 def test_read_samples_header_detection(tmp_path):
     X = np.random.default_rng(8).normal(size=(5, 3))
     bare, headed = tmp_path / "bare.csv", tmp_path / "headed.csv"
@@ -175,6 +214,14 @@ def test_identifiability_rejects_malformed_graph_json(tmp_path, capsys, text):
     assert main(["identifiability", "--graph", str(graph)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: graph JSON must be {") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("d", [0, -2])
+def test_identifiability_rejects_graph_without_nodes(tmp_path, capsys, d):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"d": d, "edges": []}))
+    assert main(["identifiability", "--graph", str(graph)]) == 1
+    assert capsys.readouterr().err == f"error: a graph needs at least one node, got d={d}\n"
 
 
 @pytest.mark.parametrize("r", ["1", "2"])

@@ -30,6 +30,12 @@ def test_edge_validation_and_dedup():
         DirectedGraph(2, [(0, 2)])
 
 
+@pytest.mark.parametrize("d", [0, -2])
+def test_graph_needs_a_node(d):
+    with pytest.raises(ValueError, match=f"d={d}"):
+        DirectedGraph(d, [])
+
+
 def test_complete_graph():
     g = DirectedGraph.complete(3)
     assert len(g.edges) == 9

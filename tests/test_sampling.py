@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -290,3 +293,39 @@ def test_sampler_rejects_bad_size_and_tolerance():
             sample_steady_state(M, levy, n, seed=0)
     assert sample_steady_state(M, levy, 0, seed=0).shape == (0, 2)
     assert sample_steady_state(M, levy, np.int64(3), seed=0).shape == (3, 2)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_threaded_chunks_equal_single_pass_kernel(cores, monkeypatch):
+    # four chunks, the last one short; 1 core is the serial path, and 3
+    # threads switching every microsecond interleave far more than a real run
+    monkeypatch.setattr(sampling, "_available_cores", lambda: cores)
+    M, levy = study_drift_matrix(3, 10.0, 0.2), STUDY_LEVY_3
+    n = 3 * CHUNK_DRAWS + 17
+    threads_before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        X = sample_steady_state(M, levy, n, seed=48)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads_before
+    assert np.array_equal(X, single_pass_real_sampler(M, levy, n, seed=48))
+
+
+def test_one_chunk_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(sampling, "_available_cores", lambda: 3)
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    M = study_drift_matrix(3, 10.0, 0.2)
+    sample_steady_state(M, STUDY_LEVY_3, 8000, seed=49)
+    assert started == []
+    # two chunks on three cores: the caller and one helper
+    sample_steady_state(M, STUDY_LEVY_3, CHUNK_DRAWS + 1, seed=49)
+    assert len(started) == 1
