@@ -17,6 +17,7 @@ from .estimation import *
 from .graphs import *
 from .lyapunov import *
 from .sampling import *
+from .study import *
 from .tensors import *
 
 __version__ = "0.1.0"
@@ -29,5 +30,6 @@ __all__ = [
     *graphs.__all__,
     *lyapunov.__all__,
     *sampling.__all__,
+    *study.__all__,
     *tensors.__all__,
 ]

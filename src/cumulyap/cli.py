@@ -3,20 +3,16 @@
 simulate draws steady-state samples to CSV; estimate recovers the scale-free
 drift from such samples with plug-in inference; identifiability runs the
 rank checks for a sparsity graph; study reproduces the benchmark Monte Carlo
-experiment at a configurable scale and writes CSV/JSON (optionally SVG).
+experiment of `cumulyap.study` at a configurable scale and writes CSV/JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,222 +21,13 @@ from .coefficients import (
     known_noise_identifiability_check,
     polytree_rank_witness,
 )
-from .cumulants import BLOCK_ROWS, empirical_cumulants, estimate_omega, population_omega
+from .cumulants import BLOCK_ROWS, estimate_omega
 from .estimation import asymptotic_covariance, estimate_drift
 from .graphs import DirectedGraph
-from .sampling import (
-    BetaJumps,
-    LevySpec,
-    _available_cores,
-    population_state_cumulants,
-    sample_steady_state,
-    study_drift_matrix,
-)
+from .sampling import BetaJumps, LevySpec, sample_steady_state, study_drift_matrix
+from .study import StudyConfig, run_study
 
-__all__ = ["StudyConfig", "StudyResult", "run_study", "main"]
-
-
-# -- study ---------------------------------------------------------------
-
-
-@dataclass
-class StudyConfig:
-    """Monte Carlo study settings; defaults are the desk-scale benchmark."""
-
-    d: int = 3
-    gamma: float = 10.0
-    rho: float = 0.2
-    lam: float = 0.5
-    mu: float = 0.8
-    nu: float = 1.0
-    sample_sizes: tuple[int, ...] = (1000, 2000, 4000, 8000)
-    n_replications: int = 100
-    orders: tuple[int, ...] = (2, 3)
-    seed: int = 1234
-
-
-@dataclass
-class StudyResult:
-    """Per-sample-size error summaries plus the asymptotic reference."""
-
-    config: StudyConfig
-    rows: list[dict] = field(default_factory=list)
-    total_asymptotic_variance: float = float("nan")
-
-    @property
-    def asymptotic_rmse(self) -> float:
-        return float(np.sqrt(self.total_asymptotic_variance))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config": asdict(self.config),
-                "total_asymptotic_variance": self.total_asymptotic_variance,
-                "asymptotic_rmse": self.asymptotic_rmse,
-                "rows": self.rows,
-            },
-            indent=2,
-            allow_nan=False,
-        )
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(self.rows[0]))
-            writer.writeheader()
-            writer.writerows(self.rows)
-
-
-def run_study(config: StudyConfig, log=None) -> StudyResult:
-    """Run the drift-recovery Monte Carlo experiment.
-
-    For each sample size, draws n_replications independent steady-state
-    samples from the benchmark model, estimates the unit-norm drift from the
-    chosen cumulant orders, and summarizes squared Frobenius errors against
-    the true unit drift, alongside the delta-method asymptotic variance
-    computed exactly from population cumulants. Each row also records the
-    wall time its sample size took, in seconds. The replications run on a
-    pool of threads, one per core available to the process, created for
-    this call and joined before it returns; each replication has its own
-    seed stream and the results are summed in replication order, so every
-    row except `seconds` is the same bit for bit on any number of cores.
-    `log` is called on the calling thread, after each sample size's
-    replications have all finished. Raises ValueError unless the
-    dimension is at least 2 (a unit-norm 1 x 1 drift has no error to study),
-    there is at least one replication, every sample size is at least 2 and
-    every order at least 2.
-    """
-    log = log or (lambda msg: None)
-    if config.d < 2:
-        raise ValueError(f"need dimension d >= 2, got {config.d}")
-    if config.n_replications < 1:
-        raise ValueError(f"need at least 1 replication, got {config.n_replications}")
-    if not config.sample_sizes or min(config.sample_sizes) < 2:
-        raise ValueError(f"sample sizes must be at least 2, got {config.sample_sizes}")
-    if not config.orders or min(config.orders) < 2:
-        raise ValueError(f"orders must be integers >= 2, got {config.orders}")
-    orders = sorted(config.orders)
-    M = study_drift_matrix(config.d, config.gamma, config.rho)
-    unit = M / np.linalg.norm(M)
-    levy = LevySpec(np.full(config.d, config.lam), BetaJumps(config.mu, config.nu))
-
-    population = population_state_cumulants(M, levy, range(1, 2 * max(orders) + 1))
-    omega = population_omega(population, orders)
-    total = asymptotic_covariance(M, omega.cumulants, omega.matrix).total
-    result = StudyResult(config=config, total_asymptotic_variance=total)
-    log(f"asymptotic rmse {result.asymptotic_rmse:.3f}")
-
-    def replicate(n: int, seed: np.random.SeedSequence):
-        samples = sample_steady_state(M, levy, n, seed=seed)
-        return estimate_drift(empirical_cumulants(samples, orders))
-
-    reps = config.n_replications
-    streams = np.random.SeedSequence(config.seed).spawn(len(config.sample_sizes) * reps)
-    with ThreadPoolExecutor(max_workers=_available_cores()) as pool:
-        for i, n in enumerate(config.sample_sizes):
-            t0 = time.perf_counter()
-            seeds = streams[i * reps : (i + 1) * reps]
-            estimates, sq_errors, gaps, stable = [], [], [], 0
-            # map yields in replication order for any number of workers, so
-            # every sum below runs in the same order as a serial loop's
-            for est in pool.map(replicate, [n] * reps, seeds):
-                estimates.append(est.matrix)
-                sq_errors.append(float(np.sum((est.matrix - unit) ** 2)))
-                gaps.append(est.gap)
-                stable += est.stable
-            mse = float(np.mean(sq_errors))
-            mean_matrix = np.mean(estimates, axis=0)
-            bias_norm = float(np.linalg.norm(mean_matrix - unit))
-            row = {
-                "n": n,
-                "replications": reps,
-                "mse": mse,
-                "bias_norm": bias_norm,
-                "variance": mse - bias_norm**2,
-                "scaled_rmse": float(np.sqrt(n * mse)),
-                "scaled_bias": float(np.sqrt(n) * bias_norm),
-                "rmse_ratio": float(np.sqrt(n * mse) / result.asymptotic_rmse),
-                "stable_fraction": stable / reps,
-                "mean_gap": float(np.mean(gaps)),
-                "seconds": time.perf_counter() - t0,
-            }
-            result.rows.append(row)
-            # every replication of this size has finished: no worker is busy
-            log(
-                f"n={n}: scaled rmse {row['scaled_rmse']:.3f} "
-                f"(ratio {row['rmse_ratio']:.3f}) in {row['seconds']:.1f}s"
-            )
-    return result
-
-
-def _write_svg_plot(path, result: StudyResult) -> None:
-    """Minimal self-contained SVG: scaled errors against sample size."""
-    width, height, margin = 640, 420, 60
-    ns = [row["n"] for row in result.rows]
-    series = {
-        "scaled rmse": [row["scaled_rmse"] for row in result.rows],
-        "scaled bias": [row["scaled_bias"] for row in result.rows],
-    }
-    hline = result.asymptotic_rmse
-    xs = np.log2(ns)
-    # a single distinct sample size is centred in a span of 2
-    x0, x1 = (xs.min(), xs.max()) if np.ptp(xs) else (xs[0] - 1.0, xs[0] + 1.0)
-    ymax = max(max(max(v) for v in series.values()), hline) * 1.1
-
-    def px(x):
-        return margin + (x - x0) / (x1 - x0) * (width - 2 * margin)
-
-    def py(y):
-        return height - margin - y / ymax * (height - 2 * margin)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-        f'<text x="{width / 2}" y="{height - 16}" text-anchor="middle" '
-        f'font-size="13">sample size</text>',
-        f'<text x="{width / 2}" y="20" text-anchor="middle" font-size="14">'
-        f"drift recovery error, scaled by sqrt(n)</text>",
-    ]
-    for n, x in zip(ns, xs):
-        parts.append(
-            f'<text x="{px(x)}" y="{height - margin + 18}" text-anchor="middle" '
-            f'font-size="11">{n}</text>'
-        )
-    for frac in (0.0, 0.5, 1.0):
-        y = ymax * frac / 1.1
-        parts.append(
-            f'<text x="{margin - 8}" y="{py(y) + 4}" text-anchor="end" '
-            f'font-size="11">{y:.1f}</text>'
-        )
-    y = py(hline)
-    parts.append(
-        f'<line x1="{margin}" y1="{y}" x2="{width - margin}" y2="{y}" '
-        f'stroke="gray" stroke-dasharray="6,4"/>'
-    )
-    parts.append(
-        f'<text x="{width - margin}" y="{y - 6}" text-anchor="end" font-size="11" '
-        f'fill="gray">asymptotic rmse</text>'
-    )
-    for (name, values), color in zip(series.items(), ("#1f77b4", "#d62728")):
-        points = " ".join(f"{px(x):.1f},{py(v):.1f}" for x, v in zip(xs, values))
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" '
-            f'stroke-width="2"/>'
-        )
-        for x, v in zip(xs, values):
-            parts.append(
-                f'<circle cx="{px(x):.1f}" cy="{py(v):.1f}" r="3" fill="{color}"/>'
-            )
-        parts.append(
-            f'<text x="{px(xs[-1]) - 4}" y="{py(values[-1]) - 8}" text-anchor="end" '
-            f'font-size="12" fill="{color}">{name}</text>'
-        )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts))
+__all__ = ["main"]
 
 
 # -- shared option handling ----------------------------------------------
@@ -286,9 +73,12 @@ def _load_drift(args) -> np.ndarray:
     if args.drift:
         with open(args.drift) as fh:
             obj = json.load(fh)
-        M = np.asarray(obj["m"] if isinstance(obj, dict) else obj, dtype=float)
+        # an object without "m" gives a 0-d array, rejected with the rest
+        M = np.asarray(obj.get("m") if isinstance(obj, dict) else obj, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError("drift JSON must hold a square matrix")
+            raise ValueError(
+                'drift JSON must hold a square matrix, as [[...]] or {"m": [[...]]}'
+            )
         return M
     return study_drift_matrix(args.d, args.gamma, args.rho)
 
@@ -427,12 +217,7 @@ def _cmd_study(args) -> int:
     result.write_csv(csv_path)
     with open(json_path, "w") as fh:
         fh.write(result.to_json() + "\n")
-    written = [csv_path, json_path]
-    if args.plots:
-        svg_path = os.path.join(args.out_dir, "study.svg")
-        _write_svg_plot(svg_path, result)
-        written.append(svg_path)
-    print("wrote " + ", ".join(written))
+    print(f"wrote {csv_path}, {json_path}")
     return 0
 
 
@@ -485,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--orders", default=",".join(map(str, defaults.orders)))
     study.add_argument("--seed", type=int, default=defaults.seed)
     study.add_argument("--quick", action="store_true", help="small smoke run")
-    study.add_argument("--plots", action="store_true", help="also write an SVG")
     study.add_argument("--out-dir", required=True)
     study.set_defaults(func=_cmd_study)
     return parser

@@ -150,6 +150,8 @@ def study_drift_matrix(d: int, gamma: float, rho: float) -> np.ndarray:
     eta = rho / (1 + rho (d - 1)), is stable for every rho in (0, 1) since
     the inverse of the second factor is a Lyapunov certificate.
     """
+    if d < 1:
+        raise ValueError(f"need dimension d >= 1, got {d}")
     if not 0.0 <= rho < 1.0:
         raise ValueError("need coupling rho in [0, 1)")
     eta = rho / (1.0 + rho * (d - 1))
@@ -167,6 +169,8 @@ def study_covariance(d: int, rho: float, c2_diagonal: float) -> np.ndarray:
     (c2_diagonal / 2d) * inverse(I - eta * ones); the rotation part of the
     drift drops out exactly.
     """
+    if d < 1:
+        raise ValueError(f"need dimension d >= 1, got {d}")
     eta = rho / (1.0 + rho * (d - 1))
     c = c2_diagonal / (2.0 * d)
     return c * (np.eye(d) + eta / (1.0 - d * eta) * np.ones((d, d)))
@@ -281,7 +285,7 @@ def sample_steady_state(M: np.ndarray, levy: LevySpec, n: int, seed=None) -> np.
             lo = hi
         out[start : start + m] = sums @ basis
 
-    _run_chunks(draw_chunk, -(-n // CHUNK_DRAWS))
+    _map_on_cores(draw_chunk, -(-n // CHUNK_DRAWS))
     return out
 
 
@@ -293,16 +297,18 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _run_chunks(draw_chunk, chunks: int) -> None:
-    """Call draw_chunk(i) once for each i in range(chunks).
+def _map_on_cores(task, count: int) -> list:
+    """[task(i) for i in range(count)], in index order, on the available cores.
 
-    The calling thread works through the chunks together with
-    min(cores, chunks) - 1 helper threads, created here and joined before
+    The calling thread works through the indices together with
+    min(cores, count) - 1 helper threads, created here and joined before
     return; each thread takes the next index from one shared iterator until
-    none are left. One chunk, or one core, starts no thread. An exception
-    raised by any chunk is raised here, after every thread has stopped.
+    none are left, and stores its result at that index. One item, or one
+    core, starts no thread. An exception raised by any task is raised here,
+    after every thread has stopped.
     """
-    indices = iter(range(chunks))
+    results = [None] * count
+    indices = iter(range(count))
     lock = threading.Lock()
 
     def work() -> None:
@@ -311,14 +317,15 @@ def _run_chunks(draw_chunk, chunks: int) -> None:
                 i = next(indices, None)
             if i is None:
                 return
-            draw_chunk(i)
+            results[i] = task(i)
 
-    helpers = min(_available_cores(), chunks) - 1
+    helpers = min(_available_cores(), count) - 1
     if helpers < 1:
         work()
-        return
+        return results
     with ThreadPoolExecutor(max_workers=helpers) as pool:
         futures = [pool.submit(work) for _ in range(helpers)]
         work()
         for future in futures:
             future.result()
+    return results

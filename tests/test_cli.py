@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cumulyap import cli, cumulants
+from cumulyap import cli, cumulants, study
 from cumulyap.cli import StudyConfig, _read_samples, build_parser, main, run_study
 from cumulyap.cumulants import empirical_cumulants, population_omega
 from cumulyap.estimation import asymptotic_covariance, estimate_drift
@@ -54,6 +54,25 @@ def test_simulate_accepts_drift_file(tmp_path):
     )
     assert code == 0
     assert np.loadtxt(out, delimiter=",", skiprows=1).shape == (20, 2)
+
+
+@pytest.mark.parametrize("text", ['{"M": [[-1.0]]}', "[[-1.0, 0.0]]"])
+def test_simulate_rejects_drift_json_without_square_matrix(tmp_path, capsys, text):
+    drift = tmp_path / "m.json"
+    drift.write_text(text)
+    args = ["simulate", "--drift", str(drift), "-n", "5", "--out", str(tmp_path / "x.csv")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        'error: drift JSON must hold a square matrix, as [[...]] or {"m": [[...]]}\n'
+    )
+
+
+@pytest.mark.parametrize("d", [0, -2])
+def test_simulate_rejects_dimension_below_one(tmp_path, capsys, d):
+    args = ["simulate", "--d", str(d), "-n", "5", "--out", str(tmp_path / "x.csv")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: need dimension d >= 1, got {d}\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def study_model(d):
@@ -265,7 +284,6 @@ def test_study_quick_outputs(tmp_path):
         [
             "study",
             "--quick",
-            "--plots",
             "--sizes", "400,800",
             "--reps", "20",
             "--seed", "9",
@@ -274,7 +292,6 @@ def test_study_quick_outputs(tmp_path):
     )
     assert code == 0
     assert (out_dir / "study.csv").exists()
-    assert (out_dir / "study.svg").exists()
     report = strict_json((out_dir / "study.json").read_text())
     assert len(report["rows"]) == 2
     assert report["total_asymptotic_variance"] > 0
@@ -349,16 +366,20 @@ def test_run_study_threads_match_serial_loop(cores, monkeypatch):
 
 
 @pytest.mark.parametrize("sizes", ["100", "100,100"])
-def test_study_plot_with_one_sample_size(tmp_path, sizes):
+def test_study_with_one_sample_size(tmp_path, sizes):
     out_dir = tmp_path / "study"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(
-            ["study", "--plots", "--sizes", sizes, "--reps", "2", "--out-dir", str(out_dir)]
-        )
+        code = main(["study", "--sizes", sizes, "--reps", "2", "--out-dir", str(out_dir)])
     assert code == 0
-    svg = (out_dir / "study.svg").read_text()
-    assert "nan" not in svg
+    report = strict_json((out_dir / "study.json").read_text())
+    assert [row["n"] for row in report["rows"]] == [int(n) for n in sizes.split(",")]
+
+
+def test_cli_study_names_are_the_study_modules():
+    # the acceptance gate imports both from cumulyap.cli
+    assert cli.StudyConfig is study.StudyConfig
+    assert cli.run_study is study.run_study
 
 
 def test_missing_samples_file_fails_cleanly(tmp_path, capsys):

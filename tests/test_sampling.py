@@ -329,3 +329,17 @@ def test_one_chunk_starts_no_thread(monkeypatch):
     # two chunks on three cores: the caller and one helper
     sample_steady_state(M, STUDY_LEVY_3, CHUNK_DRAWS + 1, seed=49)
     assert len(started) == 1
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_map_on_cores_returns_results_in_index_order(cores, monkeypatch):
+    monkeypatch.setattr(sampling, "_available_cores", lambda: cores)
+    threads_before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = sampling._map_on_cores(lambda i: (i, sum(range(1000 * i))), 20)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads_before
+    assert results == [(i, sum(range(1000 * i))) for i in range(20)]
