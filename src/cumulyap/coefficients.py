@@ -31,7 +31,7 @@ from .graphs import (
 )
 from .lyapunov import (
     ModelParameters,
-    _trek_polynomial,
+    _trek_polynomials,
     forward_map,
     is_stable,
     solve_lyapunov,
@@ -384,7 +384,7 @@ def _witness_entry_polys(relabeled, rows, cols, r):
     """
     d = relabeled.d
     column = {src * d + dst: c for c, (src, dst) in enumerate(cols)}
-    cache: dict[tuple[int, int], dict[int, Fraction]] = {}
+    tables = {k: _trek_polynomials(relabeled, k, r) for k in {k for k, _ in rows}}
     entries = []
     for k, idx in rows:
         p = _position_lookup(d, k)[canonical_index(idx)]
@@ -394,10 +394,7 @@ def _witness_entry_polys(relabeled, rows, cols, r):
             c = column.get(j * d + a)
             if c is None:
                 continue
-            if (k, col) not in cache:
-                index = unique_indices(d, k)[col]
-                cache[k, col] = _trek_polynomial(relabeled, index, r)
-            for deg, coef in cache[k, col].items():
+            for deg, coef in tables[k][col].items():
                 row[c][deg] = row[c].get(deg, 0) + coef
         entries.append(row)
     return entries
@@ -529,9 +526,10 @@ def polytree_rank_witness(graph: DirectedGraph, r: int) -> WitnessReport:
     contains, so the certificate holds at a point of the graph's parameter
     space. Builds the square witness system whose entries are the cumulants
     of the special polytree parametrization as exact polynomials in zeta
-    (lyapunov._trek_polynomial), clears each row's denominators so the
-    entries are integer polynomials, and evaluates them at one power of two,
-    2^B, large enough that the determinant's coefficients cannot overlap.
+    (lyapunov._trek_polynomials, from path counts), clears each row's
+    denominators so the entries are integer polynomials, and evaluates them
+    at one power of two, 2^B, large enough that the determinant's
+    coefficients cannot overlap.
     One integer Bareiss elimination then gives the determinant polynomial
     exactly, read back as base-2^B digits. A nonzero polynomial certifies that the stacked
     off-diagonal system at orders {2, r} has the maximal rank d*d - 1 for

@@ -1,4 +1,4 @@
-"""Directed graphs encoding drift sparsity, and treks on their acyclic part.
+"""Directed graphs encoding drift sparsity.
 
 An edge (src, dst) means coordinate dst feels coordinate src, i.e. the drift
 matrix entry M[dst, src] may be nonzero. Self-loops (i, i) allow diagonal
@@ -16,12 +16,10 @@ import numpy as np
 __all__ = [
     "DirectedGraph",
     "GraphCycleError",
-    "Trek",
     "sparsity_project",
     "connected_components",
     "spanning_polytree",
     "topological_order",
-    "enumerate_treks",
 ]
 
 
@@ -190,64 +188,3 @@ def topological_order(graph: DirectedGraph) -> list[int]:
     if len(order) != graph.d:
         raise GraphCycleError("non-loop part of the graph contains a directed cycle")
     return order
-
-
-@dataclass(frozen=True)
-class Trek:
-    """A common source node with one directed non-loop path to each target.
-
-    Paths are node sequences starting at `top`; a path of length zero is just
-    (top,). The value of a trek in the closed-form cumulants depends only on
-    the path lengths.
-    """
-
-    top: int
-    paths: tuple[tuple[int, ...], ...]
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(p) - 1 for p in self.paths)
-
-
-def _paths_to(graph: DirectedGraph, target: int, cache: dict) -> dict[int, list[tuple[int, ...]]]:
-    """All directed non-loop paths from every node to `target`, keyed by start."""
-    if target in cache:
-        return cache[target]
-    # Reverse DFS from the target over non-loop edges; graph must be acyclic
-    # there (checked by callers via topological_order).
-    incoming: dict[int, list[int]] = {i: [] for i in range(graph.d)}
-    for a, b in graph.non_loop_edges():
-        incoming[b].append(a)
-    result: dict[int, list[tuple[int, ...]]] = {i: [] for i in range(graph.d)}
-    result[target] = [(target,)]
-
-    def extend(node: int, suffix: tuple[int, ...]):
-        for prev in sorted(incoming[node]):
-            path = (prev,) + suffix
-            result[prev].append(path)
-            extend(prev, path)
-
-    extend(target, (target,))
-    cache[target] = result
-    return result
-
-
-def enumerate_treks(graph: DirectedGraph, targets) -> list[Trek]:
-    """All treks (without self-loops) from a common top to the given targets.
-
-    The non-loop part must be acyclic; raises GraphCycleError otherwise.
-    """
-    topological_order(graph)  # acyclicity check
-    targets = tuple(int(t) for t in targets)
-    cache: dict = {}
-    per_target = [_paths_to(graph, t, cache) for t in targets]
-    treks = []
-    for top in range(graph.d):
-        choices = [pt[top] for pt in per_target]
-        if any(not c for c in choices):
-            continue
-        stack = [()]
-        for options in choices:
-            stack = [combo + (p,) for combo in stack for p in options]
-        treks.extend(Trek(top, combo) for combo in stack)
-    return treks

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
-from math import factorial, prod
+from math import factorial, isfinite
+from numbers import Integral
 
 import numpy as np
 
-from .graphs import DirectedGraph, enumerate_treks
+from .graphs import DirectedGraph, topological_order
 from .tensors import SymmetricTensor, slot_replacements, unique_indices
 
 __all__ = [
@@ -142,36 +144,72 @@ def lyapunov_operator_matrix(M: np.ndarray, k: int) -> np.ndarray:
     return B
 
 
+def _check_special_parametrization(graph: DirectedGraph, r, zeta) -> None:
+    """Raise ValueError unless (graph, r, zeta) defines a special parametrization."""
+    if not graph.has_all_self_loops():
+        raise ValueError("the special parametrization needs all self-loops")
+    if not (isinstance(r, Integral) and r > 0 and zeta > 0 and isfinite(zeta)):
+        raise ValueError(
+            "the special parametrization needs a positive integer r and a "
+            f"positive finite zeta, got r={r!r}, zeta={zeta!r}"
+        )
+
+
 def special_drift_matrix(graph: DirectedGraph, r: int, zeta: float) -> np.ndarray:
     """Drift with diagonal -1/(r*zeta) and unit weight on non-loop edges.
 
-    The graph must have every self-loop; this is the parametrization whose
-    steady-state cumulants the trek closed form reproduces.
+    The graph must have every self-loop, r must be a positive integer and
+    zeta positive and finite, so the drift is stable; this is the
+    parametrization whose steady-state cumulants the trek closed form
+    reproduces.
     """
-    if not graph.has_all_self_loops():
-        raise ValueError("the special parametrization needs all self-loops")
+    _check_special_parametrization(graph, r, zeta)
     M = np.diag(np.full(graph.d, -1.0 / (r * zeta)))
     for src, dst in graph.non_loop_edges():
         M[dst, src] = 1.0
     return M
 
 
-def _trek_polynomial(graph: DirectedGraph, index, r: int) -> dict[int, Fraction]:
-    """Exact cumulant entry of the special parametrization, as a poly in zeta.
+def _trek_polynomials(graph: DirectedGraph, k: int, r: int) -> list[dict[int, Fraction]]:
+    """Exact order-k cumulants of the special parametrization, as polys in zeta.
 
-    A trek to the index's nodes with path lengths l_1..l_k summing to L
-    contributes (r/k)^(L+1) L! / prod(l_j!) at degree L+1, with k the entry
-    order. Returns degree -> coefficient.
+    Returns one degree -> coefficient dict, in ascending degree, per index of
+    unique_indices(d, k). A trek to the index's nodes with path lengths
+    l_1..l_k summing to L contributes (r/k)^(L+1) L! / prod(l_j!) at degree
+    L+1. A trek picks its path to each node independently of the others, so
+    the treks from one top sum to L! times the x^L coefficient of the
+    product over the index's nodes t of sum_l paths[l][top, t] x^l / l!,
+    where paths[l], the l-th power of the non-loop adjacency, counts the
+    paths of length l. The non-loop part must be acyclic (GraphCycleError
+    otherwise), so paths[l] is zero from l = d on.
     """
-    k = len(index)
-    poly: dict[int, Fraction] = {}
-    for trek in enumerate_treks(graph, index):
-        L = sum(trek.lengths)
-        coef = Fraction(r, k) ** (L + 1) * Fraction(
-            factorial(L), prod(factorial(l) for l in trek.lengths)
-        )
-        poly[L + 1] = poly.get(L + 1, Fraction(0)) + coef
-    return poly
+    topological_order(graph)  # acyclicity check
+    d = graph.d
+    step = np.zeros((d, d), dtype=object)  # exact ints: path counts can pass int64
+    for src, dst in graph.non_loop_edges():
+        step[src, dst] = 1
+    paths = [np.identity(d, dtype=object)]
+    for _ in range(d - 1):
+        paths.append(paths[-1] @ step)
+    # series[top][t][l] = paths[l][top, t] * D / l!, an integer for D = (d-1)!,
+    # without trailing zeros
+    D = factorial(d - 1)
+    egf = np.array([p * (D // factorial(l)) for l, p in enumerate(paths)])
+    series = [[np.trim_zeros(egf[:, top, t], "b") for t in range(d)] for top in range(d)]
+    # weight[L] takes the scaled x^L coefficient to the zeta^(L+1) one
+    weight = [
+        Fraction(r ** (L + 1) * factorial(L), k ** (L + 1) * D**k) for L in range(k * (d - 1) + 1)
+    ]
+    polys = []
+    for index in unique_indices(d, k):
+        total = np.zeros(len(weight), dtype=object)
+        for top in range(d):
+            factors = [series[top][t] for t in index]
+            if all(map(len, factors)):  # a trek needs a path to every node
+                product = reduce(np.convolve, factors)
+                total[: len(product)] += product
+        polys.append({L + 1: w * c for L, (w, c) in enumerate(zip(weight, total)) if c})
+    return polys
 
 
 def trek_closed_form(graph: DirectedGraph, k: int, r: int, zeta: float) -> SymmetricTensor:
@@ -181,15 +219,14 @@ def trek_closed_form(graph: DirectedGraph, k: int, r: int, zeta: float) -> Symme
     tensors equal to the identity tensor at every order, the entry at a given
     index is a sum over treks to that index's nodes: a trek with path lengths
     l_1..l_k and total L contributes (r*zeta/k)**(L+1) * L! / prod(l_j!).
-    Each entry is the exact polynomial of _trek_polynomial, the one the
-    polytree witness uses, evaluated at zeta in floating point.
+    Each entry is the exact polynomial of _trek_polynomials, computed from
+    path counts and shared with the polytree witness, evaluated at zeta in
+    floating point in ascending degree.
 
-    The non-loop part of the graph must be acyclic.
+    The non-loop part of the graph must be acyclic, and r and zeta are
+    checked as in special_drift_matrix.
     """
-    if not graph.has_all_self_loops():
-        raise ValueError("the special parametrization needs all self-loops")
-    result = SymmetricTensor(graph.d, k)
-    for idx in result.indices:
-        poly = _trek_polynomial(graph, idx, r)
-        result[idx] = sum(float(c) * zeta**deg for deg, c in poly.items())
-    return result
+    _check_special_parametrization(graph, r, zeta)
+    polys = _trek_polynomials(graph, k, r)
+    values = [sum(float(c) * zeta**deg for deg, c in poly.items()) for poly in polys]
+    return SymmetricTensor(graph.d, k, np.array(values))

@@ -8,7 +8,8 @@ the two unique-entry operators, the steady-state sampler's former
 complex-arithmetic kernel and its former single-pass real kernel, together
 with a replay of its random draws, and
 the witness determinant's former route through exact rational evaluations
-on an integer grid and interpolation, the per-index set-partition loops of
+on an integer grid and interpolation, one trek polynomial summed by brute
+force over path-length tuples, the per-index set-partition loops of
 the cumulant layer (moments to cumulants and back, the cumulant Jacobian and
 the population covariance built on them), the full (n, features) monomial
 feature matrix with its means and np.cov covariance, a nonparametric
@@ -18,7 +19,9 @@ a matrix.
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from itertools import product
+from math import factorial, prod
 
 import numpy as np
 import scipy.integrate
@@ -273,6 +276,35 @@ def interpolated_witness_determinant(entries) -> dict[int, Fraction]:
     if leading is not None and leading < 0:
         coeffs = [-c for c in coeffs]
     return {deg: c for deg, c in enumerate(coeffs) if c}
+
+
+def trek_polynomial_by_enumeration(graph, index, r) -> dict[int, Fraction]:
+    """Trek polynomial of one index of the special parametrization.
+
+    For every top and every tuple (l_1..l_k) of path lengths below d, the
+    number of path tuples from the top to the index's nodes with those
+    lengths is the product of per-node path counts, each found by walking
+    the non-loop edges; each such trek adds (r/k)^(L+1) L! / prod(l_j!) at
+    degree L + 1, with L = sum(l_j). The non-loop part must be acyclic.
+    """
+    d, k = graph.d, len(index)
+    edges = set(graph.non_loop_edges())
+
+    @lru_cache(maxsize=None)
+    def count(src, dst, length):
+        if length == 0:
+            return int(src == dst)
+        return sum(count(nxt, dst, length - 1) for nxt in range(d) if (src, nxt) in edges)
+
+    poly: dict[int, Fraction] = {}
+    for top in range(d):
+        for lengths in product(range(d), repeat=k):
+            n = prod(count(top, t, l) for t, l in zip(index, lengths))
+            if n:
+                L = sum(lengths)
+                weight = Fraction(factorial(L), prod(factorial(l) for l in lengths))
+                poly[L + 1] = poly.get(L + 1, 0) + n * Fraction(r, k) ** (L + 1) * weight
+    return poly
 
 
 def cumulant_from_moments(index, moment) -> float:

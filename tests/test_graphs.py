@@ -7,7 +7,6 @@ from cumulyap.graphs import (
     DirectedGraph,
     GraphCycleError,
     connected_components,
-    enumerate_treks,
     spanning_polytree,
     sparsity_project,
     topological_order,
@@ -128,34 +127,3 @@ def test_topological_order():
         assert pos[src] < pos[dst]
     with pytest.raises(GraphCycleError):
         topological_order(DirectedGraph(2, [(0, 1), (1, 0)]))
-
-
-def test_enumerate_treks_two_node_chain():
-    g = DirectedGraph(2, [(0, 0), (1, 1), (0, 1)])
-    treks = enumerate_treks(g, (1, 1))
-    tops = sorted(t.top for t in treks)
-    assert tops == [0, 1]
-    by_top = {t.top: t for t in treks}
-    assert by_top[0].paths == ((0, 1), (0, 1))
-    assert by_top[0].lengths == (1, 1)
-    assert by_top[1].lengths == (0, 0)
-    assert enumerate_treks(g, (0, 0)) == [
-        type(treks[0])(0, ((0,), (0,)))
-    ]
-    # nothing reaches coordinate 0 from 1, so a (0,1) trek must start at 0
-    mixed = enumerate_treks(g, (0, 1))
-    assert len(mixed) == 1 and mixed[0].top == 0
-
-
-def test_enumerate_treks_counts_path_tuples():
-    # two parallel routes 0->1->3 and 0->2->3 give four path pairs to (3, 3)
-    g = DirectedGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    treks = enumerate_treks(g, (3, 3))
-    from_zero = [t for t in treks if t.top == 0]
-    assert len(from_zero) == 4
-    assert all(t.lengths == (2, 2) for t in from_zero)
-
-
-def test_enumerate_treks_rejects_cycles():
-    with pytest.raises(GraphCycleError):
-        enumerate_treks(DirectedGraph(2, [(0, 1), (1, 0)]), (0, 0))

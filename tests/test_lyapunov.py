@@ -1,11 +1,15 @@
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from cumulyap.graphs import DirectedGraph
+from cumulyap.graphs import DirectedGraph, GraphCycleError
 from cumulyap.lyapunov import (
     ModelParameters,
     SingularSystemError,
+    _trek_polynomials,
     eigenvalue_sum_margin,
     forward_map,
     is_stable,
@@ -21,6 +25,7 @@ from oracles import (
     kron_sum_matrix,
     n_mode_product,
     operator_matrix_loop,
+    trek_polynomial_by_enumeration,
     vec,
 )
 
@@ -250,3 +255,75 @@ def test_trek_closed_form_matches_solver_on_a_tree():
 def test_trek_closed_form_needs_self_loops():
     with pytest.raises(ValueError):
         trek_closed_form(DirectedGraph(2, [(0, 1), (0, 0)]), 2, 3, 1.0)
+
+
+def test_trek_closed_form_rejects_cycles():
+    two_cycle = DirectedGraph(2, [(0, 0), (1, 1), (0, 1), (1, 0)])
+    with pytest.raises(GraphCycleError):
+        trek_closed_form(two_cycle, 2, 3, 1.0)
+
+
+BAD_SPECIAL_PARAMETERS = [
+    (0, 1.0),
+    (3, 0.0),
+    (3, -1.0),
+    (-3, 1.0),
+    (3, float("inf")),
+    (3, float("nan")),
+    (2.5, 1.0),
+]
+
+
+@pytest.mark.parametrize("r, zeta", BAD_SPECIAL_PARAMETERS)
+def test_special_parametrization_needs_positive_r_and_zeta(r, zeta):
+    # r*zeta <= 0 gives a singular or unstable drift, whose stationary law
+    # does not exist, so neither function may return a value
+    g = DirectedGraph(2, [(0, 0), (1, 1), (0, 1)])
+    with pytest.raises(ValueError, match="r=.*zeta="):
+        special_drift_matrix(g, r, zeta)
+    with pytest.raises(ValueError, match="r=.*zeta="):
+        trek_closed_form(g, 3, r, zeta)
+
+
+def random_dag(rng, d):
+    order = rng.permutation(d)
+    edges = [
+        (int(order[i]), int(order[j]))
+        for i in range(d)
+        for j in range(i + 1, d)
+        if rng.random() < 0.5
+    ]
+    return DirectedGraph(d, edges + [(i, i) for i in range(d) if rng.random() < 0.5])
+
+
+def test_trek_polynomials_match_enumeration():
+    # the diamond 0->1->3, 0->2->3 has four path pairs from 0 to (3, 3)
+    diamond = DirectedGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    assert _trek_polynomials(diamond, 2, 3)[-1] == {
+        1: Fraction(3, 2),  # top 3
+        3: Fraction(27, 2),  # tops 1 and 2
+        5: 4 * Fraction(3, 2) ** 5 * 6,  # top 0: four pairs, 4!/(2!2!) = 6 each
+    }
+    rng = np.random.default_rng(18)
+    graphs = [diamond] + [random_dag(rng, int(rng.integers(1, 6))) for _ in range(30)]
+    for graph in graphs:
+        r = int(rng.choice([3, 4, 5]))
+        # the oracle walks d**k length tuples, so order r only up to d = 4
+        for k in (2, 3, r) if graph.d <= 4 else (2, 3):
+            got = _trek_polynomials(graph, k, r)
+            for index, poly in zip(unique_indices(graph.d, k), got):
+                assert poly == trek_polynomial_by_enumeration(graph, index, r), (graph, index)
+
+
+def test_trek_closed_form_complete_dag_matches_solver_quickly():
+    # 6 nodes, every forward edge: entry (5, 5, 5, 5) alone has 69906 treks,
+    # which the path counts sum without listing them
+    d, r, zeta = 6, 4, 0.2
+    g = DirectedGraph(d, [(i, j) for i in range(d) for j in range(i, d)])
+    M = special_drift_matrix(g, r, zeta)
+    start = time.perf_counter()
+    closed = {k: trek_closed_form(g, k, r, zeta) for k in (2, 3, 4)}
+    assert time.perf_counter() - start < 1.0
+    for k, got in closed.items():
+        expected = solve_lyapunov(M, SymmetricTensor.identity(d, k))
+        assert np.allclose(got.values, expected.values, rtol=1e-9, atol=0)
