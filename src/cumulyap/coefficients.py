@@ -9,16 +9,18 @@ tensor K is fixed: row idx reads
 
 Collecting coefficients of the drift entries gives the matrix built by
 drift_coefficient_matrix. Rows whose index mixes at least two coordinates
-have C_k entry zero when the driving noise has independent coordinates, so
-those rows annihilate vec(M); stacking them across orders and asking for
-rank d*d - 1 is the identifiability check.
+(_noise_free_rows) have C_k entry zero when the driving noise has independent
+coordinates, so those rows annihilate vec(M); stacking them across orders and
+asking for rank d*d - 1 is the identifiability check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm, prod
+from numbers import Integral
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .lyapunov import (
     forward_map,
     is_stable,
     solve_lyapunov,
+    trek_closed_form,
 )
 from .tensors import (
     SymmetricTensor,
@@ -46,7 +49,6 @@ from .tensors import (
 
 __all__ = [
     "all_edges",
-    "off_diagonal_indices",
     "drift_coefficient_matrix",
     "CoefficientSystem",
     "assemble_system",
@@ -76,9 +78,16 @@ def all_edges(d: int) -> list[tuple[int, int]]:
     return [(src, dst) for src in range(d) for dst in range(d)]
 
 
-def off_diagonal_indices(d: int, k: int) -> list[tuple[int, ...]]:
-    """Canonical order-k indices touching at least two distinct coordinates."""
-    return [idx for idx in unique_indices(d, k) if len(set(idx)) > 1]
+@lru_cache(maxsize=None)
+def _noise_free_rows(d: int, k: int) -> np.ndarray:
+    """Positions in unique_indices(d, k) of the indices touching two or more
+    coordinates: the order-k rows whose noise entry vanishes when the noise
+    coordinates are independent. Read-only, since every caller shares it.
+    """
+    # a nondecreasing index touches two coordinates when its ends differ
+    rows = np.flatnonzero([idx[0] != idx[-1] for idx in unique_indices(d, k)])
+    rows.flags.writeable = False
+    return rows
 
 
 def drift_coefficient_matrix(
@@ -109,36 +118,25 @@ def drift_coefficient_matrix(
 
 @dataclass
 class CoefficientSystem:
-    """A stacked coefficient matrix with its row and column labels."""
+    """A coefficient matrix: the square witness system of witness_matrix."""
 
     matrix: np.ndarray
-    row_labels: list[tuple[int, tuple[int, ...]]]
-    col_labels: list[tuple[int, int]]
 
 
-def assemble_system(
-    cumulants: dict[int, SymmetricTensor], columns=None
-) -> CoefficientSystem:
-    """Stack the off-diagonal drift coefficient rows over the cumulant orders.
+def assemble_system(cumulants: dict[int, SymmetricTensor]) -> np.ndarray:
+    """Stack the noise-free drift coefficient rows over the cumulant orders.
 
-    Keeps, per order, the rows of off_diagonal_indices: their noise entry
-    vanishes under independent noise coordinates, so they are exactly the
-    rows annihilating vec(M). Columns are the given edges (default:
-    all_edges), the hook for a graph-constrained system.
+    Keeps, per order k, the rows of _noise_free_rows(d, k), in increasing
+    order: their noise entry vanishes under independent noise coordinates,
+    so they are exactly the rows annihilating vec(M). Columns are all_edges.
     """
     orders = sorted(cumulants)
     if not orders:
         raise ValueError("need at least one cumulant order")
     d = cumulants[orders[0]].d
-    if columns is None:
-        columns = all_edges(d)
-    blocks, labels = [], []
-    for k in orders:
-        kappa = cumulants[k]
-        rows = off_diagonal_indices(d, k)
-        blocks.append(drift_coefficient_matrix(kappa, rows=rows, columns=columns))
-        labels.extend((k, idx) for idx in rows)
-    return CoefficientSystem(np.vstack(blocks), labels, list(columns))
+    return np.vstack(
+        [drift_coefficient_matrix(cumulants[k])[_noise_free_rows(d, k)] for k in orders]
+    )
 
 
 def _rank_cutoff(shape) -> float:
@@ -191,11 +189,12 @@ def random_sparse_model(graph: DirectedGraph, orders, rng) -> ModelParameters:
 
 
 def _noise_order(r) -> int:
-    """The higher cumulant order r of a check, which needs r >= 3."""
-    r = int(r)
+    """The higher cumulant order r of a check: an integer (numpy's too) r >= 3."""
+    if not isinstance(r, Integral):
+        raise ValueError(f"need an integer noise order r, got {r!r}")
     if r < 3:
         raise ValueError("need noise order r >= 3")
-    return r
+    return int(r)
 
 
 def generic_identifiability_check(
@@ -222,7 +221,7 @@ def generic_identifiability_check(
     ranks = []
     for _ in range(n_trials):
         params = random_sparse_model(graph, orders, rng)
-        ranks.append(numerical_rank(assemble_system(forward_map(params)).matrix))
+        ranks.append(numerical_rank(assemble_system(forward_map(params))))
     achieved = sum(rank == expected for rank in ranks)
     return {
         "d": d,
@@ -405,17 +404,16 @@ def witness_matrix(graph: DirectedGraph, r: int, zeta: float) -> CoefficientSyst
 
     Rows pair every coordinate couple at orders 2 and r and add one order-r
     row per polytree edge; columns are all edges except the first self-loop,
-    both in the topological relabeling (see polytree_rank_witness).
+    both in the topological relabeling (see polytree_rank_witness). The
+    entries are the drift_coefficient_matrix rows at the trek_closed_form
+    cumulants of the relabeled polytree, so zeta must be positive and finite.
     """
     relabeled, _, rows, cols = _witness_layout(graph, r)
-    entries = _witness_entry_polys(relabeled, rows, cols, int(r))
-    matrix = np.array(
-        [
-            [sum(float(c) * zeta**deg for deg, c in poly.items()) for poly in row]
-            for row in entries
-        ]
-    ).reshape(len(rows), len(cols))
-    return CoefficientSystem(matrix, rows, cols)
+    blocks = []
+    for k in (2, r):  # _witness_layout lists the order-2 rows first
+        kappa = trek_closed_form(relabeled, k, r, zeta)
+        blocks.append(drift_coefficient_matrix(kappa, [i for j, i in rows if j == k], cols))
+    return CoefficientSystem(np.vstack(blocks))
 
 
 def _bareiss_det(matrix: list[list[int]]) -> int:
@@ -503,7 +501,7 @@ class WitnessReport:
     coefficient normalized positive. With that normalization the lowest
     coefficient comes out negative for chains d = 2..5, opposite in sign to
     the lemma's; lowest_term_matches compares the lowest degree and the
-    coefficient's magnitude only. Row and column labels refer to the
+    coefficient's magnitude only. The witness system is built in the
     topological relabeling: new node i is original node relabeling[i].
     """
 
@@ -514,8 +512,6 @@ class WitnessReport:
     expected_lowest_magnitude: Fraction
     lowest_term_matches: bool
     generically_identifiable: bool
-    row_labels: list[tuple[int, tuple[int, ...]]]
-    col_labels: list[tuple[int, int]]
     relabeling: list[int]
 
 
@@ -536,7 +532,7 @@ def polytree_rank_witness(graph: DirectedGraph, r: int) -> WitnessReport:
     generic parameters on any graph containing the polytree. A one-node
     graph has the empty system, determinant 1.
     """
-    r = int(r)
+    r = _noise_order(r)
     relabeled, order, rows, cols = _witness_layout(graph, r)
     determinant = _polynomial_det(_witness_entry_polys(relabeled, rows, cols, r))
     if determinant and determinant[max(determinant)] < 0:
@@ -555,7 +551,5 @@ def polytree_rank_witness(graph: DirectedGraph, r: int) -> WitnessReport:
             and abs(determinant[lowest]) == expected_magnitude
         ),
         generically_identifiable=bool(determinant),
-        row_labels=rows,
-        col_labels=cols,
         relabeling=order,
     )

@@ -233,9 +233,17 @@ def _feature_moments(samples, max_order: int, covariance: bool):
     return means, (cross - np.outer(sums, sums) / n) / (n - 1)
 
 
+def _sorted_orders(orders) -> list[int]:
+    """The requested cumulant orders as sorted ints, at least one of them."""
+    orders = sorted(int(k) for k in orders)
+    if not orders:
+        raise ValueError("need at least one cumulant order")
+    return orders
+
+
 def empirical_cumulants(samples: np.ndarray, orders) -> dict[int, SymmetricTensor]:
     """k-statistics-free plug-in cumulant tensors of the sample, by order."""
-    orders = sorted(int(k) for k in orders)
+    orders = _sorted_orders(orders)
     means, _ = _feature_moments(samples, max(orders), covariance=False)
     return _cumulants_at(means, np.shape(samples)[1], orders)
 
@@ -259,13 +267,13 @@ def stack_unique(cumulants: dict[int, SymmetricTensor], orders=None) -> np.ndarr
 class OmegaEstimate:
     """Asymptotic covariance of sqrt(n) times the stacked cumulant estimator.
 
+    `matrix` is aligned with stacked_labels over the requested orders;
     `cumulants` holds the cumulant tensors of the requested orders at the
     moments the covariance was evaluated at: the plug-in estimates for a
     sample, the given tensors for a population.
     """
 
     matrix: np.ndarray
-    labels: list[tuple[int, tuple[int, ...]]]
     cumulants: dict[int, SymmetricTensor]
 
 
@@ -293,13 +301,12 @@ def estimate_omega(samples: np.ndarray, orders) -> OmegaEstimate:
     returned is scaled for sqrt(n)-normalized errors (divide by n for the
     covariance of the plug-in estimate itself).
     """
-    orders = sorted(int(k) for k in orders)
+    orders = _sorted_orders(orders)
     means, S = _feature_moments(samples, max(orders), covariance=True)
     d = np.shape(samples)[1]
     J = _cumulant_jacobian(means, d, orders)
     return OmegaEstimate(
         matrix=J @ S @ J.T,
-        labels=stacked_labels(d, orders),
         cumulants=_cumulants_at(means, d, orders),
     )
 
@@ -314,7 +321,7 @@ def population_omega(
     monomial features is then available in closed form and the delta method
     needs no data.
     """
-    orders = sorted(int(k) for k in orders)
+    orders = _sorted_orders(orders)
     top = max(orders)
     missing = [k for k in range(1, 2 * top + 1) if k not in cumulants]
     if missing:
@@ -333,7 +340,6 @@ def population_omega(
     J = _cumulant_jacobian(means, d, orders)
     return OmegaEstimate(
         matrix=J @ S @ J.T,
-        labels=stacked_labels(d, orders),
         cumulants={k: cumulants[k] for k in orders},
     )
 

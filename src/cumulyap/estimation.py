@@ -16,14 +16,13 @@ import numpy as np
 import scipy.linalg
 
 from .coefficients import (
+    _noise_free_rows,
     _rank_cutoff,
     assemble_system,
     numerical_rank,
-    off_diagonal_indices,
 )
-from .cumulants import stacked_labels
 from .lyapunov import is_stable, lyapunov_operator_matrix
-from .tensors import SymmetricTensor, _position_lookup
+from .tensors import SymmetricTensor
 
 __all__ = [
     "moore_penrose",
@@ -105,8 +104,7 @@ def estimate_drift(cumulants: dict[int, SymmetricTensor]) -> DriftEstimate:
     diagonal entry negative. Stability of the estimate is reported, not
     enforced.
     """
-    system = assemble_system(cumulants)
-    v, sigma_min, gap = least_singular_vector(system.matrix)
+    v, sigma_min, gap = least_singular_vector(assemble_system(cumulants))
     d = cumulants[sorted(cumulants)[0]].d
     M = _sign_fix(v.reshape((d, d), order="F"))
     return DriftEstimate(
@@ -130,20 +128,11 @@ class SingularVectorJacobian:
         return -self.pinv @ (np.asarray(H, dtype=float) @ self.direction)
 
 
-def singular_vector_jacobian(A: np.ndarray, drift=None) -> SingularVectorJacobian:
-    """Jacobian of the drift estimator at a system with an exact kernel.
-
-    `drift` is the kernel direction, given as a length d*d vector or as a
-    d x d matrix (vectorized column by column and normalized); when omitted
-    it is taken from the SVD of A itself.
-    """
+def singular_vector_jacobian(A: np.ndarray) -> SingularVectorJacobian:
+    """Jacobian of the drift estimator at a system with an exact kernel,
+    whose direction is taken from the SVD of A itself."""
     A = np.asarray(A, dtype=float)
-    if drift is None:
-        v, _, _ = least_singular_vector(A)
-    else:
-        drift = np.asarray(drift, dtype=float)
-        v = drift.reshape(-1, order="F") if drift.ndim == 2 else drift
-        v = v / np.linalg.norm(v)
+    v, _, _ = least_singular_vector(A)
     return SingularVectorJacobian(pinv=moore_penrose(A), direction=v)
 
 
@@ -170,8 +159,9 @@ def asymptotic_covariance(
     `cumulants` the tensors the estimator consumes, and `omega` the
     asymptotic covariance of the sqrt(n)-scaled stacked cumulant estimator,
     aligned with stacked_labels over the same orders. The estimator error is
-    linear in the cumulant error through the coefficient system built at the
-    truth, with the cumulant-to-system map given by the Lyapunov operator of
+    linear in the cumulant error through the coefficient system A built at
+    the truth: it is -pinv(A) B times that error, where B holds the
+    noise-free rows (those of assemble_system) of the Lyapunov operator of
     the unit-norm drift. Raises ValueError when the stacked off-diagonal
     system has rank below d*d - 1, as the cumulants then do not identify the
     drift and the expansion has no meaning.
@@ -180,24 +170,19 @@ def asymptotic_covariance(
     d = drift.shape[0]
     unit = drift / np.linalg.norm(drift)
     orders = sorted(cumulants)
-    system = assemble_system(cumulants)
-    rank = numerical_rank(system.matrix)
+    A = assemble_system(cumulants)
+    rank = numerical_rank(A)
     if rank < d * d - 1:
         raise ValueError(
             "the cumulants do not identify the drift; the off-diagonal cumulant "
             f"system has rank {rank}, below d*d - 1 = {d * d - 1}"
         )
-    blocks = []
-    for k in orders:
-        pos = _position_lookup(d, k)
-        rows = [pos[idx] for idx in off_diagonal_indices(d, k)]
-        blocks.append(lyapunov_operator_matrix(unit, k)[rows])
-    B = scipy.linalg.block_diag(*blocks)
-    labels = stacked_labels(d, orders)
-    if np.asarray(omega).shape != (len(labels), len(labels)):
-        raise ValueError(
-            f"omega must be {len(labels)} x {len(labels)} for orders {orders}"
-        )
-    J = -singular_vector_jacobian(system.matrix, unit).pinv @ B
+    B = scipy.linalg.block_diag(
+        *(lyapunov_operator_matrix(unit, k)[_noise_free_rows(d, k)] for k in orders)
+    )
+    n = B.shape[1]
+    if np.shape(omega) != (n, n):
+        raise ValueError(f"omega must be {n} x {n} for orders {orders}")
+    J = -moore_penrose(A) @ B
     cov = J @ np.asarray(omega, dtype=float) @ J.T
     return AsymptoticCovariance(matrix=cov, total=float(np.trace(cov)))

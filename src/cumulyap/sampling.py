@@ -76,6 +76,10 @@ class TwoPointJumps:
     b: float
     p: float
 
+    def __post_init__(self):
+        if not (np.isfinite(self.a) and np.isfinite(self.b) and 0.0 <= self.p <= 1.0):
+            raise ValueError(f"need finite points and 0 <= p <= 1, got {self!r}")
+
     def raw_moment(self, k: int) -> float:
         return self.p * self.a**k + (1.0 - self.p) * self.b**k
 
@@ -107,6 +111,8 @@ def two_point_jumps(c2: float, cr: float, r: int) -> TwoPointJumps:
     r = int(r)
     if r < 3:
         raise ValueError("need moment order r >= 3")
+    if not (np.isfinite(c2) and np.isfinite(cr)):
+        raise ValueError(f"moments must be finite, got c2={c2!r}, cr={cr!r}")
     if c2 <= 0.0:
         raise ValueError("second moment must be positive")
     threshold = c2 ** (r / 2.0)
@@ -116,8 +122,8 @@ def two_point_jumps(c2: float, cr: float, r: int) -> TwoPointJumps:
         )
     if abs(cr) >= threshold:
         a = float(np.sign(cr)) * abs(cr / c2) ** (1.0 / (r - 2))
-        p = c2 * abs(c2 / cr) ** (2.0 / (r - 2))
-        return TwoPointJumps(a=a, b=0.0, p=p)
+        p = c2 * abs(c2 / cr) ** (2.0 / (r - 2))  # at most 1, up to rounding
+        return TwoPointJumps(a=a, b=0.0, p=min(p, 1.0))
     root = np.sqrt(c2)
     p = 0.5 * (1.0 + cr / threshold)
     return TwoPointJumps(a=root, b=-root, p=p)
@@ -131,9 +137,12 @@ class LevySpec:
     jumps: BetaJumps | TwoPointJumps | ConstantJumps
 
     def __post_init__(self):
-        self.rates = np.atleast_1d(np.asarray(self.rates, dtype=float))
-        if np.any(self.rates < 0) or not np.any(self.rates > 0):
-            raise ValueError("rates must be nonnegative with at least one positive")
+        rates = self.rates = np.atleast_1d(np.asarray(self.rates, dtype=float))
+        if not (np.all(np.isfinite(rates)) and np.all(rates >= 0) and np.any(rates > 0)):
+            raise ValueError(
+                "rates must be finite and nonnegative with at least one positive, "
+                f"got {rates.tolist()}"
+            )
 
     @property
     def d(self) -> int:

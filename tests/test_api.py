@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -44,17 +45,22 @@ def test_package_namespace_is_exports_and_modules():
 REPO = Path(__file__).resolve().parent.parent
 
 
+def caller_trees():
+    """Parsed sources of the library, the benchmark and the acceptance gate."""
+    files = [
+        *(REPO / "src" / "cumulyap").glob("*.py"),
+        *(REPO / "perfbench").glob("*.py"),
+        REPO / "tests" / "test_acceptance.py",
+    ]
+    return [ast.parse(path.read_text()) for path in files]
+
+
 def referenced_names() -> set[str]:
     """Names used in the library, the benchmark or the acceptance gate.
 
     A use is an `ast.Name` or `ast.Attribute` with that name anywhere except
     inside a `def` of the same name, so recursion is not a use.
     """
-    files = [
-        *(REPO / "src" / "cumulyap").glob("*.py"),
-        *(REPO / "perfbench").glob("*.py"),
-        REPO / "tests" / "test_acceptance.py",
-    ]
     names: set[str] = set()
 
     def visit(node, enclosing):
@@ -67,8 +73,8 @@ def referenced_names() -> set[str]:
         for child in ast.iter_child_nodes(node):
             visit(child, enclosing)
 
-    for path in files:
-        visit(ast.parse(path.read_text()), frozenset())
+    for tree in caller_trees():
+        visit(tree, frozenset())
     return names
 
 
@@ -106,3 +112,28 @@ def test_public_api_has_a_caller():
         if name not in used
     ]
     assert not unused, f"public API with no caller outside the unit tests: {unused}"
+
+
+def test_dataclass_fields_are_read():
+    """Every field of an exported dataclass is read as an attribute (an
+    `ast.Attribute` in load context) by the library, the benchmark or the
+    acceptance gate, so a result carries nothing that no caller looks at.
+
+    As in test_public_api_has_a_caller, names are matched, not objects: a
+    read of any `.matrix` keeps every field called `matrix` alive.
+    """
+    read = {
+        node.attr
+        for tree in caller_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{module.__name__}.{name}.{field.name}"
+        for module in package_modules()
+        for name in module.__all__
+        if dataclasses.is_dataclass(cls := getattr(module, name))
+        for field in dataclasses.fields(cls)
+        if field.name not in read
+    ]
+    assert not unread, f"dataclass fields no caller reads: {unread}"

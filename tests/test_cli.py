@@ -75,6 +75,17 @@ def test_simulate_rejects_dimension_below_one(tmp_path, capsys, d):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("lam", ["inf", "nan", "-1"])
+def test_simulate_rejects_bad_rate(tmp_path, capsys, lam):
+    args = ["simulate", "--d", "2", "--lam", lam, "-n", "5", "--out", str(tmp_path / "x.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning ahead of the error line fails
+        assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rates must be finite") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 def study_model(d):
     """Drift and noise simulate builds from StudyConfig's defaults at dimension d."""
     c = StudyConfig()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cumulyap.coefficients import (
+    _noise_free_rows,
     _witness_entry_polys,
     _witness_layout,
     all_edges,
@@ -15,7 +16,6 @@ from cumulyap.coefficients import (
     generic_identifiability_check,
     known_noise_identifiability_check,
     numerical_rank,
-    off_diagonal_indices,
     polytree_rank_witness,
     random_sparse_model,
     witness_lowest_coefficient_magnitude,
@@ -67,13 +67,20 @@ def test_all_edges_order_matches_vec():
         assert v[pos] == M[dst, src]
 
 
-def test_off_diagonal_indices():
-    assert off_diagonal_indices(2, 2) == [(0, 1)]
-    assert off_diagonal_indices(2, 3) == [(0, 0, 1), (0, 1, 1)]
-    for idx in off_diagonal_indices(3, 3):
-        assert len(set(idx)) >= 2
-    total = len(unique_indices(3, 3)) - 3
-    assert len(off_diagonal_indices(3, 3)) == total
+def test_noise_free_rows_table():
+    assert _noise_free_rows(2, 2).tolist() == [1]  # (0, 1)
+    assert _noise_free_rows(2, 3).tolist() == [1, 2]  # (0, 0, 1), (0, 1, 1)
+    for d, k in [(1, 3), (3, 2), (3, 3), (4, 4)]:
+        rows = _noise_free_rows(d, k)
+        indices = unique_indices(d, k)
+        expected = [p for p, idx in enumerate(indices) if len(set(idx)) >= 2]
+        assert rows.tolist() == expected
+        assert len(rows) == comb(d + k - 1, k) - d
+        # one shared table per (d, k), which no caller can change
+        assert _noise_free_rows(d, k) is rows
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[...] = 0
 
 
 def test_two_chain_coefficient_rows():
@@ -89,14 +96,15 @@ def test_two_chain_coefficient_rows():
 
 def test_two_chain_rows_annihilate_drift():
     M, cums = two_chain_cumulants()
-    rows = off_diagonal_indices(2, 2) + off_diagonal_indices(2, 3)
-    A = np.vstack(
+    A = assemble_system(cums)
+    # the rows (0, 1) of order 2, then (0, 0, 1) and (0, 1, 1) of order 3
+    expected = np.vstack(
         [
-            drift_coefficient_matrix(cums[2], rows=off_diagonal_indices(2, 2)),
-            drift_coefficient_matrix(cums[3], rows=off_diagonal_indices(2, 3)),
+            drift_coefficient_matrix(cums[2], rows=[(0, 1)]),
+            drift_coefficient_matrix(cums[3], rows=[(0, 0, 1), (0, 1, 1)]),
         ]
     )
-    assert len(rows) == A.shape[0]
+    assert np.array_equal(A, expected)
     assert np.allclose(A @ vec(M), 0.0, atol=1e-12)
 
 
@@ -154,10 +162,9 @@ def test_assemble_system_off_diagonal_kernel():
     rng = np.random.default_rng(22)
     graph = DirectedGraph.complete(3)
     params = random_sparse_model(graph, [2, 3], rng)
-    system = assemble_system(forward_map(params))
-    assert np.allclose(system.matrix @ vec(params.drift), 0.0, atol=1e-9)
-    assert all(len(set(idx)) >= 2 for _, idx in system.row_labels)
-    assert system.col_labels == all_edges(3)
+    A = assemble_system(forward_map(params))
+    assert A.shape == (comb(4, 2) - 3 + comb(5, 3) - 3, 9)
+    assert np.allclose(A @ vec(params.drift), 0.0, atol=1e-9)
 
 
 def test_numerical_rank():
@@ -234,6 +241,31 @@ def test_generic_check_rejects_low_order(r):
         generic_identifiability_check(DirectedGraph.complete(2), r, n_trials=1)
 
 
+@pytest.mark.parametrize("r", [3.7, 3.0, "4", None])
+def test_checks_reject_non_integer_order(r):
+    # a float or string r used to be truncated by int() and run as an integer
+    with pytest.raises(ValueError, match="need an integer noise order r"):
+        generic_identifiability_check(DirectedGraph.complete(2), r, n_trials=1)
+    with pytest.raises(ValueError, match="need an integer noise order r"):
+        known_noise_identifiability_check(DirectedGraph.complete(2), r, n_trials=0)
+    with pytest.raises(ValueError, match="need an integer noise order r"):
+        polytree_rank_witness(TWO_CHAIN, r)
+    with pytest.raises(ValueError, match="need an integer noise order r"):
+        witness_matrix(TWO_CHAIN, r, 1.0)
+
+
+def test_checks_accept_numpy_integer_order():
+    r = np.int64(3)
+    assert generic_identifiability_check(TWO_CHAIN, r, n_trials=1, seed=1)["r"] == 3
+    assert known_noise_identifiability_check(TWO_CHAIN, r, n_trials=0)["r"] == 3
+    assert polytree_rank_witness(TWO_CHAIN, r).determinant == (
+        polytree_rank_witness(TWO_CHAIN, 3).determinant
+    )
+    assert np.array_equal(
+        witness_matrix(TWO_CHAIN, r, 0.7).matrix, witness_matrix(TWO_CHAIN, 3, 0.7).matrix
+    )
+
+
 def test_det_expansion_coefficient_binomial_case():
     # at r = 2 the weight collapses to a plain binomial coefficient
     for d in range(2, 7):
@@ -278,6 +310,31 @@ def test_witness_matrix_matches_exact_polynomial():
     assert det == pytest.approx(exact, rel=1e-10) or det == pytest.approx(
         -exact, rel=1e-10
     )
+
+
+@pytest.mark.parametrize(
+    "graph,r",
+    [(chain(2), 3), (chain(3), 4), (RELABELED, 3), (FOUR_NODE_SPARSE, 5)],
+    ids=["chain2", "chain3-r4", "relabeled", "four-sparse-r5"],
+)
+def test_witness_matrix_evaluates_entry_polynomials(graph, r):
+    # the float system is the exact entry polynomials evaluated at zeta
+    for zeta in (0.3, 1.0, 2.5):
+        exact = np.array(
+            [
+                [float(sum(c * Fraction(zeta) ** deg for deg, c in poly.items())) for poly in row]
+                for row in witness_entries(graph, r)
+            ]
+        )
+        got = witness_matrix(graph, r, zeta).matrix
+        assert got.shape == exact.shape
+        assert np.allclose(got, exact, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("zeta", [0.0, -1.0, float("inf"), float("nan")])
+def test_witness_matrix_rejects_zeta_outside_the_parametrization(zeta):
+    with pytest.raises(ValueError, match="positive finite zeta"):
+        witness_matrix(TWO_CHAIN, 3, zeta)
 
 
 def test_witness_matrix_full_rank_at_unit_zeta():

@@ -3,7 +3,6 @@ import pytest
 
 from cumulyap.coefficients import (
     _rank_cutoff,
-    assemble_system,
     numerical_rank,
     random_sparse_model,
 )
@@ -128,18 +127,6 @@ def test_singular_vector_jacobian_matches_finite_differences():
         fd = (vp - vm) / (2 * eps)
         # both sides track the branch aligned with A0's own singular vector
         assert np.allclose(fd, jac.apply(H), rtol=1e-5, atol=1e-7)
-
-
-def test_singular_vector_jacobian_accepts_drift_matrix():
-    rng = np.random.default_rng(33)
-    params = random_sparse_model(DirectedGraph.complete(2), [2, 3], rng)
-    system = assemble_system(forward_map(params))
-    jac = singular_vector_jacobian(system.matrix, drift=params.drift)
-    unit = params.drift.reshape(-1, order="F")
-    unit = unit / np.linalg.norm(unit)
-    assert np.allclose(jac.direction, unit)
-    H = rng.normal(size=system.matrix.shape)
-    assert np.allclose(jac.apply(H), -jac.pinv @ H @ unit)
 
 
 def test_asymptotic_covariance_shape_and_kernel_invariance():

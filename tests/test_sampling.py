@@ -13,6 +13,7 @@ from cumulyap.sampling import (
     BetaJumps,
     ConstantJumps,
     LevySpec,
+    TwoPointJumps,
     population_state_cumulants,
     sample_steady_state,
     steady_state_mean,
@@ -37,6 +38,7 @@ def two_point_moment(law, k):
         (2.0, -0.5, 3),
         (1.0, 5.0, 4),  # even order above the floor
         (0.7, 0.7**2.5, 5),  # exactly at the threshold
+        (9.581334093833094, 9.581334093833094**2.5, 5),  # rounding puts p above 1
     ],
 )
 def test_two_point_jumps_exact_moments(c2, cr, r):
@@ -58,6 +60,31 @@ def test_two_point_jumps_validation():
     for mu, nu in [(0.0, 1.0), (1.0, 1.0), (0.5, 0.0), (0.5, -1.0), (float("nan"), 1.0)]:
         with pytest.raises(ValueError, match="need 0 < mu < 1 and nu > 0"):
             BetaJumps(mu, nu)
+
+
+@pytest.mark.parametrize(
+    "c2,cr", [(1.0, float("nan")), (float("nan"), 1.0), (1.0, float("inf")), (float("inf"), 2.0)]
+)
+def test_two_point_jumps_rejects_non_finite_moments(c2, cr):
+    with pytest.raises(ValueError, match="moments must be finite"):
+        two_point_jumps(c2, cr, 3)
+
+
+@pytest.mark.parametrize(
+    "a,b,p",
+    [(1.0, 0.0, 1.5), (1.0, 0.0, -0.1), (1.0, 0.0, float("nan")),
+     (float("inf"), 0.0, 0.5), (1.0, float("nan"), 0.5)],
+)
+def test_two_point_law_rejects_bad_parameters(a, b, p):
+    # p outside [0, 1] made raw_moment disagree with the law's own draws
+    with pytest.raises(ValueError, match="need finite points and 0 <= p <= 1"):
+        TwoPointJumps(a, b, p)
+
+
+def test_two_point_law_accepts_endpoint_probabilities():
+    rng = np.random.default_rng(41)
+    assert np.all(TwoPointJumps(2.0, 0.0, 1.0).sample(rng, 10) == 2.0)
+    assert np.all(TwoPointJumps(2.0, -1.0, 0.0).sample(rng, 10) == -1.0)
 
 
 def test_jump_law_samples_match_moments():
@@ -84,6 +111,9 @@ def test_levy_spec_validation_and_cumulants():
         LevySpec(np.array([-0.1, 1.0]), ConstantJumps(1.0))
     with pytest.raises(ValueError):
         LevySpec(np.zeros(2), ConstantJumps(1.0))
+    for bad in ([0.5, float("nan")], [float("inf"), 1.0]):
+        with pytest.raises(ValueError, match=r"rates must be finite.*got \["):
+            LevySpec(np.array(bad), ConstantJumps(1.0))
     levy = LevySpec(np.array([0.5, 2.0]), ConstantJumps(3.0))
     cums = levy.noise_cumulants([2, 3])
     assert cums[2][0, 0] == pytest.approx(0.5 * 9.0)
