@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, prod
-from numbers import Integral
 
 import numpy as np
 
@@ -33,14 +32,15 @@ from .graphs import (
 )
 from .lyapunov import (
     ModelParameters,
+    _solve_stacked,
     _trek_polynomials,
-    forward_map,
     is_stable,
     solve_lyapunov,
     trek_closed_form,
 )
 from .tensors import (
     SymmetricTensor,
+    _integer,
     _position_lookup,
     canonical_index,
     slot_replacements,
@@ -66,6 +66,9 @@ __all__ = [
 ]
 
 STABLE_DRAW_TRIES = 500
+# The identifiability checks run their trials in groups whose Lyapunov
+# operators hold at most this many float entries (2 MiB).
+STACK_ELEMENTS = 1 << 18
 
 
 def all_edges(d: int) -> list[tuple[int, int]]:
@@ -104,15 +107,22 @@ def drift_coefficient_matrix(
         drift_coefficient_matrix(K) @ vec(M)
             == lyapunov_operator_matrix(M, k) @ K.vec_unique().
     """
-    d, k = kappa.d, kappa.k
+    return _coefficient_rows(kappa.values, kappa.d, kappa.k, rows, columns)
+
+
+def _coefficient_rows(values: np.ndarray, d: int, k: int, rows=None, columns=None):
+    """drift_coefficient_matrix over a stack of unique-entry vectors (..., N).
+
+    Returns (..., rows, columns), with the labels of drift_coefficient_matrix.
+    """
     row, a, j, col = slot_replacements(d, k).T
-    A = np.zeros((len(unique_indices(d, k)), d * d))
-    np.add.at(A, (row, j * d + a), kappa.values[col])
+    A = np.zeros(values.shape[:-1] + (len(unique_indices(d, k)), d * d))
+    np.add.at(A, (..., row, j * d + a), values[..., col])
     if rows is not None:
         pos = _position_lookup(d, k)
-        A = A[[pos[canonical_index(idx)] for idx in rows]]
+        A = A[..., [pos[canonical_index(idx)] for idx in rows], :]
     if columns is not None:
-        A = A[:, [src * d + dst for src, dst in columns]]
+        A = A[..., [src * d + dst for src, dst in columns]]
     return A
 
 
@@ -130,13 +140,18 @@ def assemble_system(cumulants: dict[int, SymmetricTensor]) -> np.ndarray:
     order: their noise entry vanishes under independent noise coordinates,
     so they are exactly the rows annihilating vec(M). Columns are all_edges.
     """
-    orders = sorted(cumulants)
-    if not orders:
+    if not cumulants:
         raise ValueError("need at least one cumulant order")
-    d = cumulants[orders[0]].d
-    return np.vstack(
-        [drift_coefficient_matrix(cumulants[k])[_noise_free_rows(d, k)] for k in orders]
-    )
+    d = next(iter(cumulants.values())).d
+    return _noise_free_system({k: kappa.values for k, kappa in cumulants.items()}, d)
+
+
+def _noise_free_system(values: dict[int, np.ndarray], d: int) -> np.ndarray:
+    """assemble_system over stacks: order -> unique cumulant entries (..., N_k)."""
+    blocks = [
+        _coefficient_rows(values[k], d, k)[..., _noise_free_rows(d, k), :] for k in sorted(values)
+    ]
+    return np.concatenate(blocks, axis=-2)
 
 
 def _rank_cutoff(shape) -> float:
@@ -150,15 +165,53 @@ def _rank_cutoff(shape) -> float:
     return max(shape) * np.finfo(float).eps * 1e3
 
 
-def numerical_rank(matrix: np.ndarray) -> int:
-    """Rank by singular values above _rank_cutoff times the largest one."""
+def numerical_rank(matrix: np.ndarray):
+    """Rank by singular values above _rank_cutoff times the largest one.
+
+    A stack of matrices (..., m, n) gets one rank per matrix, as an integer
+    array; a single matrix gets an int.
+    """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if matrix.size == 0:
-        return 0
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > _rank_cutoff(matrix.shape) * sv[0]))
+    shape = matrix.shape[-2:]
+    if 0 in shape:
+        ranks = np.zeros(matrix.shape[:-2], dtype=int)
+    else:
+        # an all-zero matrix gets rank 0: no singular value exceeds cutoff * 0
+        sv = np.linalg.svd(matrix, compute_uv=False)
+        ranks = np.sum(sv > _rank_cutoff(shape) * sv[..., :1], axis=-1)
+    return int(ranks) if matrix.ndim == 2 else ranks
+
+
+def _draw_models(graph: DirectedGraph, orders, rng, n: int):
+    """n random stable drifts respecting the graph, with diagonal noise.
+
+    Returns the drifts (n, d, d) and, per sorted order k, the unique entries
+    (n, N) of the diagonal noise tensors. The draws run trial by trial, the
+    drift (redrawn until stable) and then each order's noise, so n = 1 is
+    random_sparse_model and n trials take the random stream of n calls of it.
+    """
+    d = graph.d
+    loops = graph.self_loop_nodes()
+    orders = sorted(_integer(k, "cumulant order") for k in orders)
+    drifts = np.empty((n, d, d))
+    noise = {k: np.zeros((n, len(unique_indices(d, k)))) for k in orders}
+    diagonal = {k: [_position_lookup(d, k)[(i,) * k] for i in range(d)] for k in orders}
+    for t in range(n):
+        for _ in range(STABLE_DRAW_TRIES):
+            M = sparsity_project(rng.uniform(-1.0, 1.0, (d, d)), graph)
+            for i in loops:
+                M[i, i] -= 2.0 * d
+            if is_stable(M):
+                break
+        else:
+            raise RuntimeError("found no stable drift for this sparsity pattern")
+        drifts[t] = M
+        for k in orders:
+            entries = rng.uniform(0.5, 2.0, d)
+            if k % 2:
+                entries *= rng.choice([-1.0, 1.0], d)
+            noise[k][t, diagonal[k]] = entries
+    return drifts, noise
 
 
 def random_sparse_model(graph: DirectedGraph, orders, rng) -> ModelParameters:
@@ -169,32 +222,25 @@ def random_sparse_model(graph: DirectedGraph, orders, rng) -> ModelParameters:
     drift is stable, at most STABLE_DRAW_TRIES times. Noise tensors are
     diagonal with magnitudes in [0.5, 2], signed at random for odd orders.
     """
-    d = graph.d
-    loops = graph.self_loop_nodes()
-    for _ in range(STABLE_DRAW_TRIES):
-        M = sparsity_project(rng.uniform(-1.0, 1.0, (d, d)), graph)
-        for i in loops:
-            M[i, i] -= 2.0 * d
-        if is_stable(M):
-            break
-    else:
-        raise RuntimeError("found no stable drift for this sparsity pattern")
-    noise = {}
-    for k in sorted(int(k) for k in orders):
-        entries = rng.uniform(0.5, 2.0, d)
-        if k % 2:
-            entries *= rng.choice([-1.0, 1.0], d)
-        noise[k] = SymmetricTensor.from_diagonal(entries, k)
-    return ModelParameters(M, noise)
+    drifts, noise = _draw_models(graph, orders, rng, 1)
+    return ModelParameters(
+        drifts[0], {k: SymmetricTensor(graph.d, k, C[0]) for k, C in noise.items()}
+    )
+
+
+def _trial_groups(n_trials: int, d: int, k: int) -> list[int]:
+    """Sizes of the groups the trials run in: each group's order-k operators
+    (N x N per trial) hold at most STACK_ELEMENTS entries, one trial at least."""
+    size = max(1, STACK_ELEMENTS // len(unique_indices(d, k)) ** 2)
+    return [min(size, n_trials - start) for start in range(0, n_trials, size)]
 
 
 def _noise_order(r) -> int:
     """The higher cumulant order r of a check: an integer (numpy's too) r >= 3."""
-    if not isinstance(r, Integral):
-        raise ValueError(f"need an integer noise order r, got {r!r}")
+    r = _integer(r, "noise order r")
     if r < 3:
         raise ValueError("need noise order r >= 3")
-    return int(r)
+    return r
 
 
 def generic_identifiability_check(
@@ -209,9 +255,12 @@ def generic_identifiability_check(
     for orders {2, r}, r >= 3, with all d*d columns, and records its rank.
     The rank can never exceed d*d minus the number of weakly connected
     components; hitting that bound on most of n_trials >= 1 draws certifies
-    the generic rank.
+    the generic rank. The trials are drawn one by one and then solved,
+    assembled and ranked as stacks, in groups of _trial_groups; the ranks
+    are those of one trial at a time.
     """
     r = _noise_order(r)
+    n_trials = _integer(n_trials, "trial count")
     if n_trials < 1:
         raise ValueError(f"need at least 1 trial, got {n_trials}")
     orders = [2, r]
@@ -219,9 +268,10 @@ def generic_identifiability_check(
     expected = d * d - len(connected_components(graph))
     rng = np.random.default_rng(seed)
     ranks = []
-    for _ in range(n_trials):
-        params = random_sparse_model(graph, orders, rng)
-        ranks.append(numerical_rank(assemble_system(forward_map(params))))
+    for size in _trial_groups(n_trials, d, r):
+        drifts, noise = _draw_models(graph, orders, rng, size)
+        kappas = {k: _solve_stacked(drifts, noise[k], k) for k in orders}
+        ranks += numerical_rank(_noise_free_system(kappas, d)).tolist()
     achieved = sum(rank == expected for rank in ranks)
     return {
         "d": d,
@@ -251,9 +301,11 @@ def known_noise_identifiability_check(
     one nonzero entry per row, with determinant equal to the product of the
     source-coordinate diagonal cumulants (times r per self-loop), so it is
     generically invertible for every graph with all self-loops. The report
-    carries that closed-form certificate plus n_trials >= 0 random-draw ranks.
+    carries that closed-form certificate plus n_trials >= 0 random-draw ranks,
+    stacked in groups as in generic_identifiability_check.
     """
     r = _noise_order(r)
+    n_trials = _integer(n_trials, "trial count")
     if n_trials < 0:
         raise ValueError(f"need a nonnegative trial count, got {n_trials}")
     if not graph.has_all_self_loops():
@@ -276,12 +328,10 @@ def known_noise_identifiability_check(
 
     rng = np.random.default_rng(seed)
     ranks = []
-    for _ in range(n_trials):
-        params = random_sparse_model(graph, [r], rng)
-        kap = solve_lyapunov(params.drift, params.noise[r])
-        ranks.append(
-            numerical_rank(drift_coefficient_matrix(kap, rows=rows, columns=edges))
-        )
+    for size in _trial_groups(n_trials, d, r):
+        drifts, noise = _draw_models(graph, [r], rng, size)
+        kappas = _solve_stacked(drifts, noise[r], r)
+        ranks += numerical_rank(_coefficient_rows(kappas, d, r, rows, edges)).tolist()
     achieved = sum(rank == len(edges) for rank in ranks)
     return {
         "d": d,

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensors import SymmetricTensor, unique_indices
+from .tensors import SymmetricTensor, _integer, unique_indices
 
 __all__ = [
     "set_partitions",
@@ -234,8 +234,9 @@ def _feature_moments(samples, max_order: int, covariance: bool):
 
 
 def _sorted_orders(orders) -> list[int]:
-    """The requested cumulant orders as sorted ints, at least one of them."""
-    orders = sorted(int(k) for k in orders)
+    """The requested cumulant orders, integers (numpy's too), as sorted ints;
+    at least one of them."""
+    orders = sorted(_integer(k, "cumulant order") for k in orders)
     if not orders:
         raise ValueError("need at least one cumulant order")
     return orders
@@ -252,14 +253,16 @@ def stacked_labels(d: int, orders) -> list[tuple[int, tuple[int, ...]]]:
     """Coordinate labels (order, index) of the stacked cumulant vector."""
     return [
         (k, idx)
-        for k in sorted(int(k) for k in orders)
+        for k in sorted(_integer(k, "cumulant order") for k in orders)
         for idx in unique_indices(d, k)
     ]
 
 
 def stack_unique(cumulants: dict[int, SymmetricTensor], orders=None) -> np.ndarray:
     """Concatenate unique entries over orders into the stacked vector."""
-    orders = sorted(cumulants) if orders is None else sorted(int(k) for k in orders)
+    if orders is None:
+        orders = cumulants
+    orders = sorted(_integer(k, "cumulant order") for k in orders)
     return np.concatenate([cumulants[k].vec_unique() for k in orders])
 
 
@@ -368,7 +371,5 @@ def compound_poisson_cumulants(
     order-k tensor is rates * jump_moment(k).
     """
     rates = np.asarray(rates, dtype=float)
-    return {
-        int(k): SymmetricTensor.from_diagonal(rates * jump_moment(int(k)), int(k))
-        for k in orders
-    }
+    orders = [_integer(k, "cumulant order") for k in orders]
+    return {k: SymmetricTensor.from_diagonal(rates * jump_moment(k), k) for k in orders}

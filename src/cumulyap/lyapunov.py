@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement
 from math import factorial, isfinite
 from numbers import Integral
 
@@ -30,7 +29,6 @@ __all__ = [
     "SingularSystemError",
     "ModelParameters",
     "is_stable",
-    "eigenvalue_sum_margin",
     "solve_lyapunov",
     "forward_map",
     "lyapunov_operator_matrix",
@@ -51,12 +49,34 @@ def is_stable(M: np.ndarray) -> bool:
     return bool(np.max(np.linalg.eigvals(M).real) < -STABILITY_TOL)
 
 
-def eigenvalue_sum_margin(M: np.ndarray, k: int) -> float:
-    """Smallest |sum| over all k-multisets of eigenvalues of M."""
-    eigs = np.linalg.eigvals(np.asarray(M, dtype=float))
-    return min(
-        abs(sum(combo)) for combo in combinations_with_replacement(eigs, k)
-    )
+def _eigenvalue_sum_margins(eigs: np.ndarray, k: int) -> np.ndarray:
+    """Smallest |sum| over the k-multisets of each row of eigenvalues (..., d).
+
+    The multisets are the canonical order-k indices, read from the cached
+    slot_replacements table: its column a at j = 0 lists each index's slots.
+    """
+    d = eigs.shape[-1]
+    multisets = slot_replacements(d, k)[::d, 1].reshape(-1, k)
+    return np.abs(eigs[..., multisets].sum(axis=-1)).min(axis=-1)
+
+
+def _solve_stacked(M: np.ndarray, C: np.ndarray, k: int) -> np.ndarray:
+    """Unique entries of the order-k solutions K of B(M) K + C = 0, stacked.
+
+    M is a stack of drifts (T, d, d) and C the (T, N) unique entries of their
+    order-k noise cumulants. Each drift's eigenvalues are computed once, for
+    its scale and its multiset-sum margin; SingularSystemError is raised when
+    any margin comes within rounding of zero. Then one np.linalg.solve runs
+    over the (T, N, N) operators, the same LAPACK call per matrix as a solve
+    of one.
+    """
+    eigs = np.linalg.eigvals(M)
+    scale = np.maximum(1.0, np.abs(eigs).max(axis=-1))
+    if np.any(_eigenvalue_sum_margins(eigs, k) <= 1e-12 * k * scale):
+        raise SingularSystemError(
+            f"{k} eigenvalues of the drift sum to zero; order-{k} equation is singular"
+        )
+    return np.linalg.solve(lyapunov_operator_matrix(M, k), -C[..., None])[..., 0]
 
 
 def solve_lyapunov(M: np.ndarray, noise_cumulant) -> SymmetricTensor:
@@ -67,7 +87,8 @@ def solve_lyapunov(M: np.ndarray, noise_cumulant) -> SymmetricTensor:
     entries, with B(M) = lyapunov_operator_matrix(M, k); that system has a
     unique solution exactly when no k-multiset of eigenvalues of M sums to
     zero, and SingularSystemError is raised when one comes within rounding
-    of zero.
+    of zero. It is the stack-of-one case of the stacked solver that the
+    identifiability checks run over their trials.
     """
     M = np.asarray(M, dtype=float)
     d = M.shape[0]
@@ -79,14 +100,7 @@ def solve_lyapunov(M: np.ndarray, noise_cumulant) -> SymmetricTensor:
         C = SymmetricTensor.from_dense(np.asarray(noise_cumulant, dtype=float))
     if C.d != d:
         raise ValueError(f"noise cumulant dimension {C.d} != drift dimension {d}")
-    k = C.k
-    scale = max(1.0, float(np.max(np.abs(np.linalg.eigvals(M)))))
-    if eigenvalue_sum_margin(M, k) <= 1e-12 * k * scale:
-        raise SingularSystemError(
-            f"{k} eigenvalues of the drift sum to zero; order-{k} equation is singular"
-        )
-    B = lyapunov_operator_matrix(M, k)
-    return SymmetricTensor(d, k, np.linalg.solve(B, -C.values))
+    return SymmetricTensor(d, C.k, _solve_stacked(M[None], C.values[None], C.k)[0])
 
 
 @dataclass
@@ -134,13 +148,15 @@ def lyapunov_operator_matrix(M: np.ndarray, k: int) -> np.ndarray:
     vector of K equals the idx entry of the mode-product sum, so
 
         lyapunov_operator_matrix(M, k) @ K.vec_unique() + C.vec_unique() = 0.
+
+    A stack of drifts (..., d, d) gives the stack of operators (..., N, N).
     """
     M = np.asarray(M, dtype=float)
-    d = M.shape[0]
+    d = M.shape[-1]
     row, a, j, col = slot_replacements(d, k).T
     n = len(unique_indices(d, k))
-    B = np.zeros((n, n))
-    np.add.at(B, (row, col), M[a, j])
+    B = np.zeros(M.shape[:-2] + (n, n))
+    np.add.at(B, (..., row, col), M[..., a, j])
     return B
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .cumulants import beta_raw_moment, compound_poisson_cumulants
 from .lyapunov import is_stable, solve_lyapunov
-from .tensors import SymmetricTensor
+from .tensors import SymmetricTensor, _integer
 
 __all__ = [
     "BetaJumps",
@@ -108,7 +108,7 @@ def two_point_jumps(c2: float, cr: float, r: int) -> TwoPointJumps:
     below that threshold is impossible for any real jump law (the power-mean
     inequality forces the order-r moment up to c2^(r/2)).
     """
-    r = int(r)
+    r = _integer(r, "moment order r")
     if r < 3:
         raise ValueError("need moment order r >= 3")
     if not (np.isfinite(c2) and np.isfinite(cr)):
@@ -201,7 +201,7 @@ def population_state_cumulants(
     """
     M = np.asarray(M, dtype=float)
     out: dict[int, SymmetricTensor] = {}
-    for k in sorted(int(k) for k in orders):
+    for k in sorted(_integer(k, "cumulant order") for k in orders):
         if k == 1:
             out[1] = SymmetricTensor(M.shape[0], 1, steady_state_mean(M, levy))
         else:

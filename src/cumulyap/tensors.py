@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -30,6 +31,17 @@ def unique_indices(d: int, k: int) -> tuple[tuple[int, ...], ...]:
     if d < 1 or k < 1:
         raise ValueError("dimension and order must be positive")
     return tuple(itertools.combinations_with_replacement(range(d), k))
+
+
+def _integer(value, what: str) -> int:
+    """value as an int when it is an integer (numpy's too, but not a bool).
+
+    Orders and counts go through here, so that 2.5 or True is a ValueError
+    naming `what` instead of being truncated by int().
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"need an integer {what}, got {value!r}")
+    return int(value)
 
 
 def canonical_index(index) -> tuple[int, ...]:

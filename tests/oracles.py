@@ -13,8 +13,9 @@ force over path-length tuples, the per-index set-partition loops of
 the cumulant layer (moments to cumulants and back, the cumulant Jacobian and
 the population covariance built on them), the full (n, features) monomial
 feature matrix with its means and np.cov covariance, a nonparametric
-bootstrap of that covariance, and the n-mode product of a dense tensor with
-a matrix.
+bootstrap of that covariance, the n-mode product of a dense tensor with
+a matrix, and the identifiability checks' former trial-by-trial loops, with
+their own copy of the random model draw.
 """
 
 from collections import Counter
@@ -27,14 +28,22 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
+from cumulyap.coefficients import (
+    STABLE_DRAW_TRIES,
+    assemble_system,
+    drift_coefficient_matrix,
+    numerical_rank,
+)
 from cumulyap.cumulants import (
     empirical_cumulants,
     set_partitions,
     stack_unique,
     stacked_labels,
 )
+from cumulyap.graphs import sparsity_project
+from cumulyap.lyapunov import ModelParameters, forward_map, is_stable, solve_lyapunov
 from cumulyap.sampling import CHUNK_DRAWS, TRUNCATION_TOL
-from cumulyap.tensors import unique_indices
+from cumulyap.tensors import SymmetricTensor, canonical_index, unique_indices
 
 
 def vec(tensor: np.ndarray) -> np.ndarray:
@@ -134,6 +143,49 @@ def coefficient_matrix_loop(kappa, rows, columns) -> np.ndarray:
                 replaced = idx[:slot] + (src,) + idx[slot + 1:]
                 A[rnum, cnum] = n * kappa[replaced]
     return A
+
+
+def sparse_model_loop(graph, orders, rng) -> ModelParameters:
+    """random_sparse_model as one draw: the stability redraws, then each
+    order's noise diagonal, signed for odd orders."""
+    d = graph.d
+    for _ in range(STABLE_DRAW_TRIES):
+        M = sparsity_project(rng.uniform(-1.0, 1.0, (d, d)), graph)
+        for i in graph.self_loop_nodes():
+            M[i, i] -= 2.0 * d
+        if is_stable(M):
+            break
+    else:
+        raise RuntimeError("found no stable drift for this sparsity pattern")
+    noise = {}
+    for k in sorted(orders):
+        entries = rng.uniform(0.5, 2.0, d)
+        if k % 2:
+            entries *= rng.choice([-1.0, 1.0], d)
+        noise[k] = SymmetricTensor.from_diagonal(entries, k)
+    return ModelParameters(M, noise)
+
+
+def generic_ranks_loop(graph, r: int, n_trials: int, seed) -> list[int]:
+    """generic_identifiability_check's ranks, one model, solve and SVD per trial."""
+    rng = np.random.default_rng(seed)
+    return [
+        numerical_rank(assemble_system(forward_map(sparse_model_loop(graph, [2, r], rng))))
+        for _ in range(n_trials)
+    ]
+
+
+def known_noise_ranks_loop(graph, r: int, n_trials: int, seed) -> list[int]:
+    """known_noise_identifiability_check's ranks, one trial at a time."""
+    edges = sorted(graph.edges)
+    rows = [canonical_index((src,) * (r - 1) + (dst,)) for src, dst in edges]
+    rng = np.random.default_rng(seed)
+    ranks = []
+    for _ in range(n_trials):
+        params = sparse_model_loop(graph, [r], rng)
+        kappa = solve_lyapunov(params.drift, params.noise[r])
+        ranks.append(numerical_rank(drift_coefficient_matrix(kappa, rows=rows, columns=edges)))
+    return ranks
 
 
 def steady_state_jumps(M, levy, n: int, seed=None):

@@ -1,11 +1,14 @@
+import json
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
+from cumulyap import coefficients
 from cumulyap.coefficients import (
     _noise_free_rows,
+    _trial_groups,
     _witness_entry_polys,
     _witness_layout,
     all_edges,
@@ -23,13 +26,23 @@ from cumulyap.coefficients import (
     witness_matrix,
 )
 from cumulyap.graphs import DirectedGraph
-from cumulyap.lyapunov import forward_map, solve_lyapunov, special_drift_matrix
+from cumulyap.lyapunov import (
+    SingularSystemError,
+    _solve_stacked,
+    forward_map,
+    lyapunov_operator_matrix,
+    solve_lyapunov,
+    special_drift_matrix,
+)
 from cumulyap.tensors import SymmetricTensor, unique_indices
 from oracles import (
     coefficient_matrix_loop,
     dense,
+    generic_ranks_loop,
     interpolated_witness_determinant,
+    known_noise_ranks_loop,
     n_mode_product,
+    sparse_model_loop,
     vec,
 )
 
@@ -264,6 +277,115 @@ def test_checks_accept_numpy_integer_order():
     assert np.array_equal(
         witness_matrix(TWO_CHAIN, r, 0.7).matrix, witness_matrix(TWO_CHAIN, 3, 0.7).matrix
     )
+
+
+# -- stacked trials against the trial-by-trial loops -----------------------------
+
+# The benchmark's certify graphs, a graph missing self-loops (stability
+# redraws), and a two-component graph.
+CERTIFY_GRAPHS = [chain(d) for d in range(2, 6)] + [FOUR_NODE_SPARSE]
+ONE_LOOP = DirectedGraph.from_edge_list(3, ["3->3", "1->2", "2->1", "2->3", "3->1"])
+TWO_COMPONENTS = DirectedGraph(4, [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "graph",
+    CERTIFY_GRAPHS + [TWO_COMPONENTS],
+    ids=["chain2", "chain3", "chain4", "chain5", "four-sparse", "two-components"],
+)
+def test_stacked_checks_match_trial_loop(graph):
+    report = generic_identifiability_check(graph, 3, n_trials=100, seed=graph.d)
+    assert report["ranks"] == generic_ranks_loop(graph, 3, 100, graph.d)
+    report = known_noise_identifiability_check(graph, 3, n_trials=100, seed=graph.d)
+    assert report["ranks"] == known_noise_ranks_loop(graph, 3, 100, graph.d)
+
+
+def test_stacked_generic_check_with_stability_redraws():
+    report = generic_identifiability_check(ONE_LOOP, 4, n_trials=60, seed=11)
+    assert report["ranks"] == generic_ranks_loop(ONE_LOOP, 4, 60, 11)
+
+
+@pytest.mark.parametrize("n_trials, groups", [(1, [1]), (2, [2]), (10, [3, 3, 3, 1])])
+def test_stacked_checks_span_groups(monkeypatch, n_trials, groups):
+    # groups of three trials: 10 is not a multiple of the group size
+    monkeypatch.setattr(coefficients, "STACK_ELEMENTS", 3 * len(unique_indices(3, 3)) ** 2)
+    assert _trial_groups(n_trials, 3, 3) == groups
+    report = generic_identifiability_check(chain(3), 3, n_trials=n_trials, seed=5)
+    assert report["ranks"] == generic_ranks_loop(chain(3), 3, n_trials, 5)
+    report = known_noise_identifiability_check(chain(3), 3, n_trials=n_trials, seed=5)
+    assert report["ranks"] == known_noise_ranks_loop(chain(3), 3, n_trials, 5)
+
+
+def test_stacked_checks_split_large_operators():
+    # d = 6 at r = 5: 252 x 252 operators, so the default budget makes groups of 4
+    assert _trial_groups(6, 6, 5) == [4, 2]
+    report = known_noise_identifiability_check(chain(6), 5, n_trials=6, seed=3)
+    assert report["ranks"] == known_noise_ranks_loop(chain(6), 5, 6, 3)
+    report = generic_identifiability_check(chain(6), 5, n_trials=6, seed=3)
+    assert report["ranks"] == generic_ranks_loop(chain(6), 5, 6, 3)
+
+
+def test_random_sparse_model_matches_single_draw():
+    for graph in (ONE_LOOP, FOUR_NODE_SPARSE):
+        ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(5):
+            got = random_sparse_model(graph, [3, 2, 5], ours)
+            want = sparse_model_loop(graph, [2, 3, 5], theirs)
+            assert np.array_equal(got.drift, want.drift)
+            assert got.orders == want.orders == [2, 3, 5]
+            for k in got.orders:
+                assert np.array_equal(got.noise[k].values, want.noise[k].values)
+
+
+def test_stacked_operator_and_rank_match_single():
+    rng = np.random.default_rng(31)
+    drifts = rng.normal(size=(2, 3, 4, 4))
+    stacked = lyapunov_operator_matrix(drifts, 3)
+    assert stacked.shape == (2, 3, 20, 20)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(stacked[idx], lyapunov_operator_matrix(drifts[idx], 3))
+    matrices = np.stack(
+        [rng.normal(size=(6, 4)), np.zeros((6, 4)), np.outer(rng.normal(size=6), [1, 2, 3, 4])]
+    )
+    ranks = numerical_rank(matrices)
+    assert ranks.tolist() == [numerical_rank(m) for m in matrices] == [4, 0, 1]
+    assert isinstance(numerical_rank(matrices[0]), int)
+    assert numerical_rank(np.zeros((2, 0, 3))).tolist() == [0, 0]
+
+
+def test_stacked_solve_matches_single_and_rejects_one_singular_drift():
+    rng = np.random.default_rng(32)
+    drifts = rng.normal(size=(3, 3, 3)) - 6.0 * np.eye(3)
+    noise = rng.normal(size=(3, 10))
+    solved = _solve_stacked(drifts, noise, 3)
+    for M, C, K in zip(drifts, noise, solved):
+        assert np.array_equal(K, solve_lyapunov(M, SymmetricTensor(3, 3, C)).values)
+    drifts[1] = np.diag([1.0, -1.0, -2.0])  # 1 + (-1) = 0 at order 2
+    with pytest.raises(SingularSystemError):
+        _solve_stacked(drifts, rng.normal(size=(3, 6)), 2)
+
+
+@pytest.mark.parametrize("n_trials", [2.5, 3.0, True, "3", None])
+def test_checks_reject_non_integer_trials(n_trials):
+    with pytest.raises(ValueError, match="need an integer trial count"):
+        generic_identifiability_check(TWO_CHAIN, 3, n_trials=n_trials)
+    with pytest.raises(ValueError, match="need an integer trial count"):
+        known_noise_identifiability_check(TWO_CHAIN, 3, n_trials=n_trials)
+
+
+def test_checks_store_numpy_trial_count_as_int():
+    for check in (generic_identifiability_check, known_noise_identifiability_check):
+        report = check(TWO_CHAIN, 3, n_trials=np.int64(3), seed=2)
+        assert type(report["trials"]) is int and report["trials"] == 3
+        assert len(report["ranks"]) == 3
+        json.dumps(report)
+
+
+def test_random_sparse_model_rejects_non_integer_order():
+    with pytest.raises(ValueError, match="need an integer cumulant order"):
+        random_sparse_model(TWO_CHAIN, [2, 2.5], np.random.default_rng(0))
+    model = random_sparse_model(TWO_CHAIN, [np.int64(3)], np.random.default_rng(0))
+    assert model.orders == [3]
 
 
 def test_det_expansion_coefficient_binomial_case():

@@ -192,6 +192,23 @@ def test_compound_poisson_cumulants_are_diagonal():
     assert out[3][0, 1, 1] == 0.0
 
 
+def test_cumulant_orders_must_be_integers():
+    # each of these used to truncate the order with int()
+    samples = np.random.default_rng(14).normal(size=(50, 2))
+    with pytest.raises(ValueError, match="need an integer cumulant order"):
+        compound_poisson_cumulants([1.0], lambda k: 1.0, [2.5])
+    with pytest.raises(ValueError, match="need an integer cumulant order"):
+        cumulants._sorted_orders([2.7, 3])
+    with pytest.raises(ValueError, match="need an integer cumulant order"):
+        empirical_cumulants(samples, [2, 3.0])
+    with pytest.raises(ValueError, match="need an integer cumulant order"):
+        stacked_labels(2, [2.5])
+    with pytest.raises(ValueError, match="need an integer cumulant order"):
+        stack_unique(empirical_cumulants(samples, [2]), [True])
+    assert cumulants._sorted_orders([np.int64(3), 2]) == [2, 3]
+    assert list(compound_poisson_cumulants([1.0], lambda k: 1.0, [np.int32(2)])) == [2]
+
+
 def test_cumulant_jacobian_matches_finite_differences():
     rng = np.random.default_rng(12)
     d, k = 2, 3

@@ -9,8 +9,8 @@ from cumulyap.graphs import DirectedGraph, GraphCycleError
 from cumulyap.lyapunov import (
     ModelParameters,
     SingularSystemError,
+    _eigenvalue_sum_margins,
     _trek_polynomials,
-    eigenvalue_sum_margin,
     forward_map,
     is_stable,
     lyapunov_operator_matrix,
@@ -141,9 +141,12 @@ def test_solve_lyapunov_d5_order6_residual():
 
 
 def test_eigenvalue_sum_margin():
-    M = np.diag([-1.0, -2.0])
-    assert eigenvalue_sum_margin(M, 2) == pytest.approx(2.0)
-    assert eigenvalue_sum_margin(np.diag([1.0, -1.0]), 2) == pytest.approx(0.0)
+    # the solver's margin, per row of a stack of eigenvalue vectors
+    eigs = np.array([[-1.0, -2.0], [1.0, -1.0]], dtype=complex)
+    assert _eigenvalue_sum_margins(eigs[0], 2) == pytest.approx(2.0)
+    assert _eigenvalue_sum_margins(eigs, 2) == pytest.approx([2.0, 0.0])
+    # every 3-multiset of a rotation pair plus -1: |(-1) + i + (-i)| = 1 is least
+    assert _eigenvalue_sum_margins(np.array([-1.0, 1j, -1j]), 3) == pytest.approx(1.0)
 
 
 def test_solve_lyapunov_input_validation():

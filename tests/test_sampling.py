@@ -62,6 +62,22 @@ def test_two_point_jumps_validation():
             BetaJumps(mu, nu)
 
 
+def test_two_point_jumps_rejects_non_integer_order():
+    # 3.5 used to be truncated to the r = 3 law
+    for r in (3.5, 3.0, True):
+        with pytest.raises(ValueError, match="need an integer moment order r"):
+            two_point_jumps(1.0, 2.0, r)
+    assert two_point_jumps(1.0, 2.0, np.int64(3)) == two_point_jumps(1.0, 2.0, 3)
+
+
+def test_population_state_cumulants_rejects_non_integer_order():
+    M = study_drift_matrix(2, 1.0, 0.2)
+    levy = LevySpec(np.ones(2), BetaJumps(0.5, 2.0))
+    with pytest.raises(ValueError, match="need an integer cumulant order"):
+        population_state_cumulants(M, levy, [2, 2.5])
+    assert list(population_state_cumulants(M, levy, [np.int64(3), 1])) == [1, 3]
+
+
 @pytest.mark.parametrize(
     "c2,cr", [(1.0, float("nan")), (float("nan"), 1.0), (1.0, float("inf")), (float("inf"), 2.0)]
 )
