@@ -22,7 +22,7 @@ from .coefficients import (
     polytree_rank_witness,
 )
 from .cumulants import BLOCK_ROWS, estimate_omega
-from .estimation import asymptotic_covariance, estimate_drift
+from .estimation import _covariance, _estimate
 from .graphs import DirectedGraph
 from .sampling import BetaJumps, LevySpec, sample_steady_state, study_drift_matrix
 from .study import StudyConfig, run_study
@@ -140,8 +140,8 @@ def _cmd_estimate(args) -> int:
     samples = _read_samples(args.samples)
     orders = _parse_orders(args.orders)
     omega = estimate_omega(samples, orders)
-    est = estimate_drift(omega.cumulants)
-    total = asymptotic_covariance(est.matrix, omega.cumulants, omega.matrix).total
+    est, fit = _estimate(omega.cumulants)
+    total = _covariance(est.matrix, omega.cumulants, omega.matrix, fit).total
     _write_json(
         args,
         {

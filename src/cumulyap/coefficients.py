@@ -159,10 +159,15 @@ def _rank_cutoff(shape) -> float:
 
     1000 times looser than machine noise for the matrix size, which separates
     the tiny-but-structural singular values of these cumulant systems from
-    genuine rank drops. numerical_rank and the estimator's pseudoinverse
-    (estimation.moore_penrose) both use it.
+    genuine rank drops. numerical_rank and the estimator's fit
+    (estimation._fit) both apply it through _above_cutoff.
     """
     return max(shape) * np.finfo(float).eps * 1e3
+
+
+def _above_cutoff(sv: np.ndarray, shape) -> np.ndarray:
+    """Which of the descending singular values `sv` (last axis) count toward the rank."""
+    return sv > _rank_cutoff(shape) * sv[..., :1]
 
 
 def numerical_rank(matrix: np.ndarray):
@@ -178,7 +183,7 @@ def numerical_rank(matrix: np.ndarray):
     else:
         # an all-zero matrix gets rank 0: no singular value exceeds cutoff * 0
         sv = np.linalg.svd(matrix, compute_uv=False)
-        ranks = np.sum(sv > _rank_cutoff(shape) * sv[..., :1], axis=-1)
+        ranks = np.sum(_above_cutoff(sv, shape), axis=-1)
     return int(ranks) if matrix.ndim == 2 else ranks
 
 

@@ -11,21 +11,16 @@ empirical cumulants gives a plug-in asymptotic covariance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .coefficients import (
-    _noise_free_rows,
-    _rank_cutoff,
-    assemble_system,
-    numerical_rank,
-)
+from .coefficients import _above_cutoff, _noise_free_rows, assemble_system
 from .lyapunov import is_stable, lyapunov_operator_matrix
 from .tensors import SymmetricTensor
 
 __all__ = [
-    "moore_penrose",
     "least_singular_vector",
     "DriftEstimate",
     "estimate_drift",
@@ -38,16 +33,30 @@ __all__ = [
 SIGN_TIE_RTOL = 1e-12
 
 
-def moore_penrose(A: np.ndarray) -> np.ndarray:
-    """Pseudoinverse with the cutoff of the rank checks (numerical_rank).
+class _Fit(NamedTuple):
+    """What the estimator reads from one SVD of its coefficient system A:
+    v, sigma_min and gap as least_singular_vector gives them, the rank as
+    numerical_rank counts it, and the pseudoinverse of A without its least
+    singular triplet (sigma_min, small but not zero on an empirical system,
+    would dominate it)."""
 
-    The coefficient system of an identifiable model has one singular value
-    that is zero up to solver noise; numpy's default cutoff can keep it and
-    blow up the inverse. Here a singular value is inverted exactly when
-    numerical_rank counts it.
-    """
-    A = np.asarray(A, dtype=float)
-    return np.linalg.pinv(A, rcond=_rank_cutoff(A.shape))
+    v: np.ndarray
+    sigma_min: float
+    gap: float
+    rank: int
+    pinv: np.ndarray
+
+
+def _fit(A: np.ndarray) -> _Fit:
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    m, n = A.shape
+    U, s, Vt = np.linalg.svd(A, full_matrices=True)
+    s = np.concatenate([s, np.zeros(max(0, n - m))])
+    rank = int(np.sum(_above_cutoff(s, A.shape)))
+    kept = min(rank, n - 1)
+    pinv = Vt[:kept].T @ (U[:, :kept].T / s[:kept, None])
+    gap = float(s[-2] - s[-1]) if n >= 2 else float("inf")
+    return _Fit(v=Vt[-1], sigma_min=float(s[-1]), gap=gap, rank=rank, pinv=pinv)
 
 
 def least_singular_vector(A: np.ndarray):
@@ -57,14 +66,7 @@ def least_singular_vector(A: np.ndarray):
     next singular value; when A has fewer rows than columns the missing
     singular values count as zeros.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    m, n = A.shape
-    _, s, Vt = np.linalg.svd(A, full_matrices=True)
-    s = np.concatenate([s, np.zeros(max(0, n - m))])
-    v = Vt[-1]
-    sigma_min = float(s[-1])
-    gap = float(s[-2] - s[-1]) if n >= 2 else float("inf")
-    return v, sigma_min, gap
+    return _fit(A)[:3]
 
 
 @dataclass
@@ -93,6 +95,14 @@ def _sign_fix(M: np.ndarray) -> np.ndarray:
     return -M if trace > 0 else M
 
 
+def _estimate(cumulants: dict[int, SymmetricTensor]) -> tuple[DriftEstimate, _Fit]:
+    """estimate_drift, together with the fit of the system it came from."""
+    fit = _fit(assemble_system(cumulants))
+    d = cumulants[sorted(cumulants)[0]].d
+    M = _sign_fix(fit.v.reshape((d, d), order="F"))
+    return DriftEstimate(M, fit.sigma_min, fit.gap, stable=is_stable(M)), fit
+
+
 def estimate_drift(cumulants: dict[int, SymmetricTensor]) -> DriftEstimate:
     """Estimate the drift direction from cumulant tensors keyed by order.
 
@@ -104,21 +114,16 @@ def estimate_drift(cumulants: dict[int, SymmetricTensor]) -> DriftEstimate:
     diagonal entry negative. Stability of the estimate is reported, not
     enforced.
     """
-    v, sigma_min, gap = least_singular_vector(assemble_system(cumulants))
-    d = cumulants[sorted(cumulants)[0]].d
-    M = _sign_fix(v.reshape((d, d), order="F"))
-    return DriftEstimate(
-        matrix=M, sigma_min=sigma_min, gap=gap, stable=is_stable(M)
-    )
+    return _estimate(cumulants)[0]
 
 
 @dataclass
 class SingularVectorJacobian:
-    """Derivative of the least singular vector at a kernel matrix.
+    """Derivative of the least singular vector v of a system A.
 
-    At a matrix A whose smallest singular value is exactly zero with kernel
-    direction v, perturbing A by H moves the singular vector by
-    apply(H) = -pinv(A) @ H @ v, up to o(H).
+    Perturbing A by H moves v by apply(H) = -pinv @ H @ v, up to o(H), with
+    pinv the pseudoinverse of A without its least singular triplet; when A
+    has no exact kernel, up to terms of order sigma_min too.
     """
 
     pinv: np.ndarray
@@ -129,11 +134,10 @@ class SingularVectorJacobian:
 
 
 def singular_vector_jacobian(A: np.ndarray) -> SingularVectorJacobian:
-    """Jacobian of the drift estimator at a system with an exact kernel,
-    whose direction is taken from the SVD of A itself."""
-    A = np.asarray(A, dtype=float)
-    v, _, _ = least_singular_vector(A)
-    return SingularVectorJacobian(pinv=moore_penrose(A), direction=v)
+    """Jacobian of the drift estimator at the system A, from one SVD of A;
+    the pseudoinverse inverts only singular values above the rank cutoff."""
+    fit = _fit(A)
+    return SingularVectorJacobian(pinv=fit.pinv, direction=fit.v)
 
 
 @dataclass
@@ -148,6 +152,28 @@ class AsymptoticCovariance:
     total: float
 
 
+def _covariance(drift, cumulants, omega, fit: _Fit) -> AsymptoticCovariance:
+    """asymptotic_covariance, given the fit of assemble_system(cumulants)."""
+    drift = np.asarray(drift, dtype=float)
+    d = drift.shape[0]
+    if fit.rank < d * d - 1:
+        raise ValueError(
+            "the cumulants do not identify the drift; the off-diagonal cumulant "
+            f"system has rank {fit.rank}, below d*d - 1 = {d * d - 1}"
+        )
+    unit = drift / np.linalg.norm(drift)
+    orders = sorted(cumulants)
+    B = scipy.linalg.block_diag(
+        *(lyapunov_operator_matrix(unit, k)[_noise_free_rows(d, k)] for k in orders)
+    )
+    n = B.shape[1]
+    if np.shape(omega) != (n, n):
+        raise ValueError(f"omega must be {n} x {n} for orders {orders}")
+    J = -fit.pinv @ B
+    cov = J @ np.asarray(omega, dtype=float) @ J.T
+    return AsymptoticCovariance(matrix=cov, total=float(np.trace(cov)))
+
+
 def asymptotic_covariance(
     drift: np.ndarray,
     cumulants: dict[int, SymmetricTensor],
@@ -159,30 +185,12 @@ def asymptotic_covariance(
     `cumulants` the tensors the estimator consumes, and `omega` the
     asymptotic covariance of the sqrt(n)-scaled stacked cumulant estimator,
     aligned with stacked_labels over the same orders. The estimator error is
-    linear in the cumulant error through the coefficient system A built at
-    the truth: it is -pinv(A) B times that error, where B holds the
+    linear in the cumulant error: it is -pinv(A) B times that error, with A
+    the cumulants' system, pinv as in singular_vector_jacobian, and B the
     noise-free rows (those of assemble_system) of the Lyapunov operator of
-    the unit-norm drift. Raises ValueError when the stacked off-diagonal
-    system has rank below d*d - 1, as the cumulants then do not identify the
-    drift and the expansion has no meaning.
+    the unit-norm drift. At the truth this is the asymptote; from samples
+    and their estimate, its plug-in. Raises ValueError when the stacked
+    off-diagonal system has rank below d*d - 1, as the cumulants then do not
+    identify the drift and the expansion has no meaning.
     """
-    drift = np.asarray(drift, dtype=float)
-    d = drift.shape[0]
-    unit = drift / np.linalg.norm(drift)
-    orders = sorted(cumulants)
-    A = assemble_system(cumulants)
-    rank = numerical_rank(A)
-    if rank < d * d - 1:
-        raise ValueError(
-            "the cumulants do not identify the drift; the off-diagonal cumulant "
-            f"system has rank {rank}, below d*d - 1 = {d * d - 1}"
-        )
-    B = scipy.linalg.block_diag(
-        *(lyapunov_operator_matrix(unit, k)[_noise_free_rows(d, k)] for k in orders)
-    )
-    n = B.shape[1]
-    if np.shape(omega) != (n, n):
-        raise ValueError(f"omega must be {n} x {n} for orders {orders}")
-    J = -moore_penrose(A) @ B
-    cov = J @ np.asarray(omega, dtype=float) @ J.T
-    return AsymptoticCovariance(matrix=cov, total=float(np.trace(cov)))
+    return _covariance(drift, cumulants, omega, _fit(assemble_system(cumulants)))

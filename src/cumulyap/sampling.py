@@ -33,7 +33,6 @@ from .tensors import SymmetricTensor, _integer
 __all__ = [
     "BetaJumps",
     "TwoPointJumps",
-    "ConstantJumps",
     "two_point_jumps",
     "LevySpec",
     "study_drift_matrix",
@@ -87,19 +86,6 @@ class TwoPointJumps:
         return np.where(rng.random(size) < self.p, self.a, self.b)
 
 
-@dataclass(frozen=True)
-class ConstantJumps:
-    """Deterministic jump size."""
-
-    value: float
-
-    def raw_moment(self, k: int) -> float:
-        return self.value**k
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.full(size, self.value)
-
-
 def two_point_jumps(c2: float, cr: float, r: int) -> TwoPointJumps:
     """Two-point jump law matching prescribed second and order-r raw moments.
 
@@ -134,7 +120,7 @@ class LevySpec:
     """Compound Poisson driving noise: per-coordinate rates, one jump law."""
 
     rates: np.ndarray
-    jumps: BetaJumps | TwoPointJumps | ConstantJumps
+    jumps: BetaJumps | TwoPointJumps
 
     def __post_init__(self):
         rates = self.rates = np.atleast_1d(np.asarray(self.rates, dtype=float))

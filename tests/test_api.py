@@ -59,7 +59,9 @@ def referenced_names() -> set[str]:
     """Names used in the library, the benchmark or the acceptance gate.
 
     A use is an `ast.Name` or `ast.Attribute` with that name anywhere except
-    inside a `def` of the same name, so recursion is not a use.
+    inside a `def` of the same name, so recursion is not a use, and inside a
+    type annotation (an `annotation` or `returns` field), which names a type
+    but makes nothing of it.
     """
     names: set[str] = set()
 
@@ -70,8 +72,12 @@ def referenced_names() -> set[str]:
             names.add(node.id)
         elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
             names.add(node.attr)
-        for child in ast.iter_child_nodes(node):
-            visit(child, enclosing)
+        for field, value in ast.iter_fields(node):
+            if field in ("annotation", "returns"):
+                continue
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    visit(child, enclosing)
 
     for tree in caller_trees():
         visit(tree, frozenset())
@@ -79,14 +85,15 @@ def referenced_names() -> set[str]:
 
 
 def public_callables(module):
-    """(label, name) of each function in the module's `__all__` and of each
-    public method or property of a class there; dunders are left out."""
+    """(label, name) of each function and class in the module's `__all__` and
+    of each public method or property of a class there; dunders are left
+    out."""
     kinds = (classmethod, staticmethod, property)
     for name in module.__all__:
         obj = getattr(module, name)
+        if callable(obj):
+            yield name, name
         if not inspect.isclass(obj):
-            if callable(obj):
-                yield name, name
             continue
         for attr, member in vars(obj).items():
             if not attr.startswith("_") and (
@@ -96,8 +103,9 @@ def public_callables(module):
 
 
 def test_public_api_has_a_caller():
-    """Every public function, method and property is used outside the unit
-    tests: by the library, the benchmark or the acceptance gate.
+    """Every public function, class, method and property is used outside the
+    unit tests: by the library, the benchmark or the acceptance gate. A class
+    named only in type annotations has no caller.
 
     Names are matched, not objects, so a name collision counts as a use (a
     call of `np.allclose` would keep a method `allclose` alive, and

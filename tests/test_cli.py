@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cumulyap import cli, cumulants, study
+from cumulyap import cli, coefficients, cumulants, estimation, study
 from cumulyap.cli import StudyConfig, _read_samples, build_parser, main, run_study
 from cumulyap.cumulants import empirical_cumulants, population_omega
 from cumulyap.estimation import asymptotic_covariance, estimate_drift
@@ -161,6 +161,7 @@ def test_estimate_one_column_writes_strict_json(tmp_path):
     assert report["d"] == 1
     assert report["gap"] is None
     assert report["m_hat"] == [[-1.0]]
+    assert report["total_asymptotic_variance"] == 0.0
 
 
 def test_identifiability_generic_with_edges(tmp_path):
@@ -412,6 +413,43 @@ def test_estimate_builds_features_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cumulants, "_feature_matrix", counted)
     assert main(["estimate", "--samples", str(sim), "--out", str(tmp_path / "e.json")]) == 0
     assert calls == [(3,)]
+
+
+def test_estimate_assembles_and_decomposes_once(tmp_path, monkeypatch):
+    sim = tmp_path / "sim.csv"
+    assert main(["simulate", "--d", "3", "-n", "2000", "--seed", "4", "--out", str(sim)]) == 0
+    calls = []
+
+    def counted(label, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(label)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (coefficients, estimation):
+        monkeypatch.setattr(module, "assemble_system", counted("assemble", module.assemble_system))
+    for name in ("svd", "pinv"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    assert main(["estimate", "--samples", str(sim), "--out", str(tmp_path / "e.json")]) == 0
+    assert sorted(calls) == ["assemble", "svd"]
+
+
+def test_estimate_total_tracks_population_asymptote(tmp_path):
+    # the plug-in leaves the least singular triplet out of the pseudoinverse;
+    # inverting that small but nonzero singular value of the empirical system
+    # made the total orders of magnitude too large
+    sim, out = tmp_path / "sim.csv", tmp_path / "est.json"
+    assert main(["simulate", "--d", "3", "-n", "20000", "--seed", "3", "--out", str(sim)]) == 0
+    assert main(["estimate", "--samples", str(sim), "--orders", "2,3", "--out", str(out)]) == 0
+    total = json.loads(out.read_text())["total_asymptotic_variance"]
+    config = StudyConfig()
+    M = study_drift_matrix(3, config.gamma, config.rho)
+    levy = LevySpec(np.full(3, config.lam), BetaJumps(config.mu, config.nu))
+    omega = population_omega(population_state_cumulants(M, levy, range(1, 7)), [2, 3])
+    truth = asymptotic_covariance(M, omega.cumulants, omega.matrix).total
+    assert truth == pytest.approx(268.9, rel=1e-3)
+    assert 0.5 * truth <= total <= 2.0 * truth
 
 
 @pytest.mark.parametrize(

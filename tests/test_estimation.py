@@ -13,7 +13,6 @@ from cumulyap.estimation import (
     asymptotic_covariance,
     estimate_drift,
     least_singular_vector,
-    moore_penrose,
     singular_vector_jacobian,
 )
 from cumulyap.estimation import _sign_fix
@@ -50,20 +49,24 @@ def test_least_singular_vector_single_column():
     assert gap == float("inf")
 
 
-def test_moore_penrose_drops_tiny_singular_values():
-    P = moore_penrose(np.diag([1.0, 1e-13]))
-    assert np.allclose(P, np.diag([1.0, 0.0]))
+def test_pseudoinverse_leaves_out_the_least_singular_triplet():
+    # the smallest singular value of an empirical system is small but not
+    # zero, and is not inverted; a wide matrix's missing one is the zero
+    P = singular_vector_jacobian(np.diag([2.0, 1.0, 1e-3])).pinv
+    assert np.allclose(P, np.diag([0.5, 1.0, 0.0]))
+    wide = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert np.allclose(singular_vector_jacobian(wide).pinv, np.linalg.pinv(wide))
 
 
 def test_rank_and_pseudoinverse_share_one_cutoff():
     # a singular value just above the cutoff counts and is inverted; one just
     # below neither counts nor is inverted
-    t = _rank_cutoff((2, 2))
-    above, below = np.diag([1.0, 1.5 * t]), np.diag([1.0, t / 1.5])
+    t = _rank_cutoff((3, 3))
+    above, below = np.diag([1.0, 1.5 * t, 0.0]), np.diag([1.0, t / 1.5, 0.0])
     assert numerical_rank(above) == 2
-    assert moore_penrose(above)[1, 1] == pytest.approx(1.0 / (1.5 * t))
+    assert singular_vector_jacobian(above).pinv[1, 1] == pytest.approx(1.0 / (1.5 * t))
     assert numerical_rank(below) == 1
-    assert moore_penrose(below)[1, 1] == 0.0
+    assert singular_vector_jacobian(below).pinv[1, 1] == 0.0
 
 
 def test_sign_fix():

@@ -11,7 +11,6 @@ from cumulyap.sampling import (
     BLOCK_JUMPS,
     CHUNK_DRAWS,
     BetaJumps,
-    ConstantJumps,
     LevySpec,
     TwoPointJumps,
     population_state_cumulants,
@@ -117,20 +116,20 @@ def test_jump_law_samples_match_moments():
     bdraws = beta.sample(rng, 200_000)
     assert bdraws.mean() == pytest.approx(0.8, abs=0.005)
 
-    const = ConstantJumps(2.5)
+    const = TwoPointJumps(2.5, 2.5, 1.0)  # a constant jump size
     assert const.raw_moment(3) == pytest.approx(2.5**3)
     assert np.all(const.sample(rng, 5) == 2.5)
 
 
 def test_levy_spec_validation_and_cumulants():
     with pytest.raises(ValueError):
-        LevySpec(np.array([-0.1, 1.0]), ConstantJumps(1.0))
+        LevySpec(np.array([-0.1, 1.0]), TwoPointJumps(1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
-        LevySpec(np.zeros(2), ConstantJumps(1.0))
+        LevySpec(np.zeros(2), TwoPointJumps(1.0, 1.0, 1.0))
     for bad in ([0.5, float("nan")], [float("inf"), 1.0]):
         with pytest.raises(ValueError, match=r"rates must be finite.*got \["):
-            LevySpec(np.array(bad), ConstantJumps(1.0))
-    levy = LevySpec(np.array([0.5, 2.0]), ConstantJumps(3.0))
+            LevySpec(np.array(bad), TwoPointJumps(1.0, 1.0, 1.0))
+    levy = LevySpec(np.array([0.5, 2.0]), TwoPointJumps(3.0, 3.0, 1.0))
     cums = levy.noise_cumulants([2, 3])
     assert cums[2][0, 0] == pytest.approx(0.5 * 9.0)
     assert cums[3][1, 1, 1] == pytest.approx(2.0 * 27.0)
@@ -163,7 +162,7 @@ def test_study_covariance_solves_lyapunov():
 
 def test_steady_state_mean():
     M = np.array([[-2.0, 0.0], [1.0, -1.0]])
-    levy = LevySpec(np.array([1.0, 3.0]), ConstantJumps(2.0))
+    levy = LevySpec(np.array([1.0, 3.0]), TwoPointJumps(2.0, 2.0, 1.0))
     mean = steady_state_mean(M, levy)
     assert np.allclose(M @ mean, -levy.rates * 2.0)
 
@@ -209,7 +208,7 @@ def test_sampler_matches_population_moments():
 
 
 def test_sampler_input_validation():
-    levy = LevySpec(np.array([0.5, 0.5]), ConstantJumps(1.0))
+    levy = LevySpec(np.array([0.5, 0.5]), TwoPointJumps(1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         sample_steady_state(np.eye(2), levy, 10, seed=0)  # unstable
     with pytest.raises(ValueError):
@@ -221,7 +220,7 @@ def test_sampler_input_validation():
 
 def test_sampler_accepts_seed_sequence():
     M = study_drift_matrix(2, 4.0, 0.3)
-    levy = LevySpec(np.array([0.5, 0.5]), ConstantJumps(1.0))
+    levy = LevySpec(np.array([0.5, 0.5]), TwoPointJumps(1.0, 1.0, 1.0))
     root = np.random.SeedSequence(44)
     X1 = sample_steady_state(M, levy, 100, seed=root)
     X2 = sample_steady_state(M, levy, 100, seed=np.random.SeedSequence(44))
@@ -230,7 +229,7 @@ def test_sampler_accepts_seed_sequence():
 
 def test_sampler_leaves_seed_sequence_unchanged():
     M = study_drift_matrix(2, 4.0, 0.3)
-    levy = LevySpec(np.array([0.5, 0.5]), ConstantJumps(1.0))
+    levy = LevySpec(np.array([0.5, 0.5]), TwoPointJumps(1.0, 1.0, 1.0))
     n = CHUNK_DRAWS + 1  # two chunk streams
 
     def child():  # a spawned seed, as run_study passes
@@ -270,7 +269,7 @@ ORACLE_CASES = {
     ),
     "constant-jumps-zero-rate": (
         study_drift_matrix(3, 10.0, 0.2),
-        LevySpec(np.array([0.5, 0.0, 1.0]), ConstantJumps(1.5)),
+        LevySpec(np.array([0.5, 0.0, 1.0]), TwoPointJumps(1.5, 1.5, 1.0)),
         3000,
     ),
     "two-point-jumps-zero-rate": (
@@ -333,7 +332,7 @@ def test_sampler_draw_without_jumps_is_exact_zero():
 
 def test_sampler_rejects_bad_size_and_tolerance():
     M = study_drift_matrix(2, 4.0, 0.3)
-    levy = LevySpec(np.array([0.5, 0.5]), ConstantJumps(1.0))
+    levy = LevySpec(np.array([0.5, 0.5]), TwoPointJumps(1.0, 1.0, 1.0))
     for n in (-1, 2.0, 2.5, True, "10"):
         with pytest.raises(ValueError, match="non-negative integer"):
             sample_steady_state(M, levy, n, seed=0)
