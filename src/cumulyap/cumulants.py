@@ -202,8 +202,10 @@ def _feature_moments(samples, max_order: int, covariance: bool):
     and s the sum over rows of x - c, the means are c + s / n and the
     covariance is (sum (x - c)(x - c)^T - s s^T / n) / (n - 1): shifting by
     c keeps the precision of a two-pass covariance when the means are large
-    against the spread (Chan, Golub & LeVeque 1979). The covariance is None
-    when not asked for. Every buffer is local, so threads may call this
+    against the spread (Chan, Golub & LeVeque 1979). Each block is checked
+    for NaN and infinite values before its features are built, so no (n, d)
+    mask is held and the error comes before any result. The covariance is
+    None when not asked for. Every buffer is local, so threads may call this
     concurrently.
     """
     samples = np.asarray(samples, dtype=float)
@@ -212,12 +214,14 @@ def _feature_moments(samples, max_order: int, covariance: bool):
     n = samples.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    if not np.isfinite(samples).all():
-        raise ValueError("samples contain NaN or infinite values")
-    blocks = (
-        _feature_matrix(samples[start : start + BLOCK_ROWS], max_order)
-        for start in range(0, n, BLOCK_ROWS)
-    )
+
+    def features(start: int) -> np.ndarray:
+        block = samples[start : start + BLOCK_ROWS]
+        if not np.isfinite(block).all():
+            raise ValueError("samples contain NaN or infinite values")
+        return _feature_matrix(block, max_order)
+
+    blocks = map(features, range(0, n, BLOCK_ROWS))
     first = next(blocks)
     shift = first.mean(axis=1)
     sums = np.zeros_like(shift)

@@ -7,13 +7,14 @@ matrix exponential is negligible gives i.i.d. draws without time
 discretization. The jumps are mapped through an eigendecomposition of M in
 real arithmetic: one exponential per real eigenvalue and one per conjugate
 pair (the partner's term is its complex conjugate), real columns summed per
-draw with `np.bincount`, and one real product back to the state. A chunk's
-jumps are weighted in blocks of whole draws, at most BLOCK_JUMPS jumps each
-unless one draw has more, so a call's temporaries stay bounded however many
-jumps a chunk holds; the output does not depend on the block size. Draws are
-made in chunks of CHUNK_DRAWS, each from its own seed stream and into its own
-rows, on the calling thread plus one helper thread per further available core
-(at most one per further chunk); a one-chunk call starts no thread, and the
+draw with `np.bincount`, and one real product back to the state. A chunk
+draws its per-draw jump counts first, then draws and weighs its jumps in
+blocks of whole draws, at most BLOCK_JUMPS jumps each unless one draw has
+more, so a chunk holds its counts and one block's jumps however many jumps
+it has; the output does not depend on the block size. Draws are made in
+chunks of CHUNK_DRAWS, each from its own seed stream and into its own rows,
+on the calling thread plus one helper thread per further available core (at
+most one per further chunk); a one-chunk call starts no thread, and the
 output does not depend on the number of cores.
 """
 
@@ -50,7 +51,12 @@ EIGENBASIS_COND_LIMIT = 1e8
 
 @dataclass(frozen=True)
 class BetaJumps:
-    """Beta-distributed jump sizes given by mean and precision."""
+    """Beta-distributed jump sizes given by mean and precision.
+
+    Draws are consumed one value after another, so sample(rng, a) followed
+    by sample(rng, b) gives bit for bit what sample(rng, a + b) gives; the
+    sampler relies on this (see LevySpec).
+    """
 
     mu: float
     nu: float
@@ -69,7 +75,11 @@ class BetaJumps:
 
 @dataclass(frozen=True)
 class TwoPointJumps:
-    """Jumps equal to `a` with probability `p` and `b` otherwise."""
+    """Jumps equal to `a` with probability `p` and `b` otherwise.
+
+    One uniform per jump, so sample(rng, a) followed by sample(rng, b) gives
+    bit for bit what sample(rng, a + b) gives (see LevySpec).
+    """
 
     a: float
     b: float
@@ -117,7 +127,13 @@ def two_point_jumps(c2: float, cr: float, r: int) -> TwoPointJumps:
 
 @dataclass
 class LevySpec:
-    """Compound Poisson driving noise: per-coordinate rates, one jump law."""
+    """Compound Poisson driving noise: per-coordinate rates, one jump law.
+
+    The jump law's sample(rng, size) must split: sample(rng, a) followed by
+    sample(rng, b) gives bit for bit what sample(rng, a + b) gives. The
+    sampler draws a chunk's sizes block by block from one stream, and its
+    output equals that of one whole-chunk call only under this contract.
+    """
 
     rates: np.ndarray
     jumps: BetaJumps | TwoPointJumps
@@ -209,16 +225,19 @@ def sample_steady_state(M: np.ndarray, levy: LevySpec, n: int, seed=None) -> np.
     the state by one real product per chunk. Draws are made in chunks of
     CHUNK_DRAWS, chunk i from the stream SeedSequence(seed) would give as its
     i-th spawned child; `seed` itself is left as it was, so the same seed and
-    n always reproduce the same array bit for bit. Each chunk draws all its
-    random numbers first and then weighs its jumps in blocks of whole draws
-    (see BLOCK_JUMPS), keeping each draw's jumps together and in order, so
-    the blocks change no bit of the result. The chunks run on the calling
-    thread plus min(cores, chunks) - 1 helper threads, started for this call
-    and joined before it returns, each chunk writing only its own rows: a
-    call with one chunk (n <= CHUNK_DRAWS) or on one core starts no thread,
-    and the array is the same bit for bit on any number of cores. Safe to
-    call from several threads at once; each such call may start its own
-    helpers.
+    n always reproduce the same array bit for bit. Each chunk draws its
+    Poisson counts, then draws and weighs its jumps in blocks of whole draws
+    (see BLOCK_JUMPS), keeping each draw's jumps together and in order. The
+    times, coordinates and sizes come from three positions of the chunk's
+    stream (`PCG64.advance`): where one whole-chunk `uniform`, `choice` and
+    jump-law call would start. A block draws only its own jumps, so with
+    the jump law's split contract (see LevySpec) the blocks change no bit of
+    the result. The chunks run on the calling thread plus min(cores, chunks)
+    - 1 helper threads, started for this call and joined before it returns,
+    each chunk writing only its own rows: a call with one chunk
+    (n <= CHUNK_DRAWS) or on one core starts no thread, and the array is the
+    same bit for bit on any number of cores. Safe to call from several
+    threads at once; each such call may start its own helpers.
     """
     M = np.asarray(M, dtype=float)
     d = M.shape[0]
@@ -236,7 +255,9 @@ def sample_steady_state(M: np.ndarray, levy: LevySpec, n: int, seed=None) -> np.
     Qinv = np.linalg.inv(Q)
     horizon = np.log(TRUNCATION_TOL) / np.max(delta.real)
     total_rate = float(levy.rates.sum())
-    coord_probs = levy.rates / total_rate
+    # the cdf Generator.choice would search, so the coordinates match its draws
+    coord_cdf = (levy.rates / total_rate).cumsum()
+    coord_cdf /= coord_cdf[-1]
     real, upper = delta.imag == 0, delta.imag > 0
     real_rates, real_left = delta[real].real, Qinv[real].real
     pair_rates, pair_left = delta[upper], Qinv[upper]
@@ -258,9 +279,10 @@ def sample_steady_state(M: np.ndarray, levy: LevySpec, n: int, seed=None) -> np.
         rng = np.random.default_rng(stream)
         counts = rng.poisson(total_rate * horizon, size=m)
         total = int(counts.sum())
-        times = rng.uniform(0.0, horizon, total)
-        coords = rng.choice(d, size=total, p=coord_probs)
-        sizes = levy.jumps.sample(rng, total)
+        # rng goes on with the times; the coordinates and sizes streams start
+        # where one call each for the whole chunk would, a float64 taking
+        # one 64-bit word
+        coord_rng, size_rng = _advanced(rng, total), _advanced(rng, 2 * total)
         ends = np.cumsum(counts)
         sums = np.empty((m, basis.shape[0]))
         lo = 0
@@ -268,8 +290,10 @@ def sample_steady_state(M: np.ndarray, levy: LevySpec, n: int, seed=None) -> np.
             first = int(ends[lo] - counts[lo])
             # the most whole draws that fit in BLOCK_JUMPS jumps, at least one
             hi = max(lo + 1, int(np.searchsorted(ends, first + BLOCK_JUMPS, "right")))
-            jumps = slice(first, int(ends[hi - 1]))
-            t, c, s = times[jumps], coords[jumps], sizes[jumps]
+            k = int(ends[hi - 1]) - first
+            t = rng.uniform(0.0, horizon, k)
+            c = coord_cdf.searchsorted(coord_rng.random(k), "right")
+            s = levy.jumps.sample(size_rng, k)
             real_terms = np.exp(np.outer(real_rates, t)) * real_left[:, c] * s
             pair_terms = np.exp(np.outer(pair_rates, t)) * pair_left[:, c] * s
             draw = np.repeat(np.arange(hi - lo), counts[lo:hi])
@@ -282,6 +306,13 @@ def sample_steady_state(M: np.ndarray, levy: LevySpec, n: int, seed=None) -> np.
 
     _map_on_cores(draw_chunk, -(-n // CHUNK_DRAWS))
     return out
+
+
+def _advanced(rng: np.random.Generator, words: int) -> np.random.Generator:
+    """A generator whose PCG64 stream starts `words` 64-bit words past rng's."""
+    bits = np.random.PCG64()
+    bits.state = rng.bit_generator.state
+    return np.random.Generator(bits.advance(words))
 
 
 def _available_cores() -> int:

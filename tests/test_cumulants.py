@@ -394,6 +394,27 @@ def test_estimate_omega_memory_stays_below_feature_matrix():
 
 
 @pytest.mark.parametrize("estimator", [empirical_cumulants, estimate_omega])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_value_in_last_block_is_rejected(estimator, bad, monkeypatch):
+    X = np.random.default_rng(20).exponential(size=(2 * BLOCK_ROWS + 5, 3))
+    X[-1, 2] = bad
+    built = []
+    build = cumulants._feature_matrix
+
+    def counted(block, max_order):
+        built.append(len(block))
+        return build(block, max_order)
+
+    monkeypatch.setattr(cumulants, "_feature_matrix", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning ahead of the error
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            estimator(X, [2, 3])
+    # each block is checked before its features are built
+    assert built == [BLOCK_ROWS, BLOCK_ROWS]
+
+
+@pytest.mark.parametrize("estimator", [empirical_cumulants, estimate_omega])
 @pytest.mark.parametrize(
     "samples, message",
     [

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,23 @@ def test_jump_law_samples_match_moments():
     const = TwoPointJumps(2.5, 2.5, 1.0)  # a constant jump size
     assert const.raw_moment(3) == pytest.approx(2.5**3)
     assert np.all(const.sample(rng, 5) == 2.5)
+
+
+@pytest.mark.parametrize(
+    "law", [BetaJumps(0.8, 1.0), BetaJumps(0.3, 1.5), two_point_jumps(1.0, 0.3, 3)]
+)
+@pytest.mark.parametrize(
+    "sizes", [(0, 9), (9, 0), (1, 2, 3), (5, 0, 11, 0, 1), (1000, 1, 0, 37)]
+)
+def test_jump_law_draws_split_bit_for_bit(law, sizes):
+    # the sampler draws a chunk's sizes block by block from one stream
+    whole_rng, rng = np.random.default_rng(42), np.random.default_rng(42)
+    whole = law.sample(whole_rng, sum(sizes))
+    parts = [law.sample(rng, size) for size in sizes]
+    assert [part.shape for part in parts] == [(size,) for size in sizes]
+    assert np.array_equal(np.concatenate(parts), whole)
+    # and the stream is left where the whole call leaves it
+    assert rng.bit_generator.state == whole_rng.bit_generator.state
 
 
 def test_levy_spec_validation_and_cumulants():
@@ -338,6 +356,22 @@ def test_sampler_rejects_bad_size_and_tolerance():
             sample_steady_state(M, levy, n, seed=0)
     assert sample_steady_state(M, levy, 0, seed=0).shape == (0, 2)
     assert sample_steady_state(M, levy, np.int64(3), seed=0).shape == (3, 2)
+
+
+def test_sampler_memory_stays_near_its_output(monkeypatch):
+    # one chunk on one core, so the peak is one chunk's: its counts and one
+    # block's jumps. The times, coordinates and sizes of all its ~557k jumps
+    # alone would take 12.8 MiB, ten times the 1.25 MiB output.
+    monkeypatch.setattr(sampling, "_available_cores", lambda: 1)
+    M = study_drift_matrix(5, 10.0, 0.2)
+    levy = LevySpec(np.full(5, 0.5), BetaJumps(0.8, 1.0))
+    tracemalloc.start()
+    try:
+        X = sample_steady_state(M, levy, CHUNK_DRAWS, seed=50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * X.nbytes
 
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
