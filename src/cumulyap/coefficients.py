@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import comb, gcd, prod
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .graphs import (
     DirectedGraph,
     connected_components,
     spanning_polytree,
-    sparsity_project,
     topological_order,
 )
 from .lyapunov import (
@@ -113,10 +112,11 @@ def drift_coefficient_matrix(
 def _coefficient_rows(values: np.ndarray, d: int, k: int, rows=None, columns=None):
     """drift_coefficient_matrix over a stack of unique-entry vectors (..., N).
 
-    Returns (..., rows, columns), with the labels of drift_coefficient_matrix.
+    Returns (..., rows, columns), with the labels of drift_coefficient_matrix,
+    in the dtype of `values`: an object array of Python ints stays exact.
     """
     row, a, j, col = slot_replacements(d, k).T
-    A = np.zeros(values.shape[:-1] + (len(unique_indices(d, k)), d * d))
+    A = np.zeros(values.shape[:-1] + (len(unique_indices(d, k)), d * d), dtype=values.dtype)
     np.add.at(A, (..., row, j * d + a), values[..., col])
     if rows is not None:
         pos = _position_lookup(d, k)
@@ -196,6 +196,7 @@ def _draw_models(graph: DirectedGraph, orders, rng, n: int):
     random_sparse_model and n trials take the random stream of n calls of it.
     """
     d = graph.d
+    mask = graph.drift_mask()
     loops = graph.self_loop_nodes()
     orders = sorted(_integer(k, "cumulant order") for k in orders)
     drifts = np.empty((n, d, d))
@@ -203,7 +204,7 @@ def _draw_models(graph: DirectedGraph, orders, rng, n: int):
     diagonal = {k: [_position_lookup(d, k)[(i,) * k] for i in range(d)] for k in orders}
     for t in range(n):
         for _ in range(STABLE_DRAW_TRIES):
-            M = sparsity_project(rng.uniform(-1.0, 1.0, (d, d)), graph)
+            M = np.where(mask, rng.uniform(-1.0, 1.0, (d, d)), 0.0)
             for i in loops:
                 M[i, i] -= 2.0 * d
             if is_stable(M):
@@ -403,7 +404,10 @@ def witness_lowest_coefficient_magnitude(d: int, r: int) -> Fraction:
 
 
 def _witness_layout(graph: DirectedGraph, r: int):
-    """Topologically relabeled spanning polytree plus witness row/column labels."""
+    """Topologically relabeled spanning polytree plus witness row/column labels.
+
+    The rows are order -> indices, order 2 first, as the system stacks them.
+    """
     r = _noise_order(r)
     if not graph.has_all_self_loops():
         raise ValueError("the polytree witness needs all self-loops")
@@ -417,41 +421,33 @@ def _witness_layout(graph: DirectedGraph, r: int):
         [(position[a], position[b]) for a, b in tree_edges]
         + [(i, i) for i in range(d)],
     )
-    rows: list[tuple[int, tuple[int, ...]]] = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            rows.append((2, (i, j)))
-    for i in range(d):
-        for j in range(i + 1, d):
-            rows.append((r, (i,) + (j,) * (r - 1)))
-    for src, dst in sorted(relabeled.non_loop_edges()):
-        rows.append((r, (src,) * (r - 1) + (dst,)))
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    rows = {
+        2: pairs,
+        r: [(i,) + (j,) * (r - 1) for i, j in pairs]
+        + [(src,) * (r - 1) + (dst,) for src, dst in sorted(relabeled.non_loop_edges())],
+    }
     cols = [edge for edge in all_edges(d) if edge != (0, 0)]
     return relabeled, order, rows, cols
 
 
-def _witness_entry_polys(relabeled, rows, cols, r):
-    """Matrix of exact entry polynomials for the witness system.
+def _witness_entries(relabeled: DirectedGraph, rows, cols, r: int):
+    """The witness system as exact polynomials in zeta: (entries, denominators).
 
-    Entry (idx, (src, dst)) sums the trek polynomial of idx with one dst slot
-    replaced by src over the slots holding dst, as in drift_coefficient_matrix.
+    entries is an object array of ints (degree, rows, columns), and
+    entries[deg, i, j] / denominators[i] is the zeta^deg coefficient of entry
+    (i, j): per order, the _coefficient_rows scatter of the _trek_polynomials
+    numerators, the rows that witness_matrix evaluates in floating point.
     """
     d = relabeled.d
-    column = {src * d + dst: c for c, (src, dst) in enumerate(cols)}
-    tables = {k: _trek_polynomials(relabeled, k, r) for k in {k for k, _ in rows}}
-    entries = []
-    for k, idx in rows:
-        p = _position_lookup(d, k)[canonical_index(idx)]
-        block = slot_replacements(d, k)[p * k * d : (p + 1) * k * d].tolist()
-        row = [{} for _ in cols]
-        for _, a, j, col in block:
-            c = column.get(j * d + a)
-            if c is None:
-                continue
-            for deg, coef in tables[k][col].items():
-                row[c][deg] = row[c].get(deg, 0) + coef
-        entries.append(row)
-    return entries
+    entries = np.zeros((r * (d - 1) + 2, sum(map(len, rows.values())), len(cols)), dtype=object)
+    denominators: list[int] = []
+    for k, indices in rows.items():
+        numerators, denominator = _trek_polynomials(relabeled, k, r)
+        block = _coefficient_rows(numerators, d, k, indices, cols)
+        entries[: len(block), len(denominators) : len(denominators) + len(indices)] = block
+        denominators += [denominator] * len(indices)
+    return entries, denominators
 
 
 def witness_matrix(graph: DirectedGraph, r: int, zeta: float) -> CoefficientSystem:
@@ -464,10 +460,10 @@ def witness_matrix(graph: DirectedGraph, r: int, zeta: float) -> CoefficientSyst
     cumulants of the relabeled polytree, so zeta must be positive and finite.
     """
     relabeled, _, rows, cols = _witness_layout(graph, r)
-    blocks = []
-    for k in (2, r):  # _witness_layout lists the order-2 rows first
-        kappa = trek_closed_form(relabeled, k, r, zeta)
-        blocks.append(drift_coefficient_matrix(kappa, [i for j, i in rows if j == k], cols))
+    blocks = [
+        drift_coefficient_matrix(trek_closed_form(relabeled, k, r, zeta), indices, cols)
+        for k, indices in rows.items()
+    ]
     return CoefficientSystem(np.vstack(blocks))
 
 
@@ -496,43 +492,35 @@ def _bareiss_det(matrix: list[list[int]]) -> int:
     return sign * prev
 
 
-def _polynomial_det(entries) -> dict[int, Fraction]:
+def _polynomial_det(entries: np.ndarray, denominators) -> dict[int, Fraction]:
     """Exact determinant of a square matrix of rational polynomials in zeta.
 
-    Each row is scaled by the LCM of its denominators, so every entry is an
-    integer polynomial, and the lowest power of zeta is factored out of each
-    row and then each column. No coefficient of the remaining determinant
-    exceeds bound = prod over rows of the summed l1 norms of the row's
-    entries (|pq|_1 <= |p|_1 |q|_1, and a determinant coefficient is at most
-    the permanent's), so evaluating every entry at zeta = 2^B with
-    2^B > 4 bound and taking one integer Bareiss determinant packs the
-    coefficients as signed base-2^B digits. Returns degree -> coefficient,
-    zero coefficients omitted; the zero polynomial is the empty dict.
+    entries[deg, i, j] / denominators[i] is the zeta^deg coefficient of entry
+    (i, j), with entries an object array of ints (degree, n, n). Each row is
+    divided by the gcd of its coefficients and by its lowest power of zeta.
+    No coefficient of the remaining integer determinant exceeds bound = prod
+    over rows of the summed l1 norms of the row's entries (|pq|_1 <=
+    |p|_1 |q|_1, and a determinant coefficient is at most the permanent's),
+    so evaluating every entry at zeta = 2^B with 2^B > 4 bound and taking
+    one integer Bareiss determinant packs the coefficients as signed base-2^B
+    digits. Returns degree -> coefficient, zero coefficients omitted; the
+    zero polynomial is the empty dict.
     """
-    scale, shift = 1, 0
+    scale, shift = Fraction(1), 0
     rows = []
-    for row in entries:
-        m = lcm(*(c.denominator for poly in row for c in poly.values()))
-        low = min((deg for poly in row for deg in poly), default=0)
-        rows.append(
-            [
-                {deg - low: c.numerator * (m // c.denominator) for deg, c in poly.items()}
-                for poly in row
-            ]
-        )
-        scale *= m
+    for i, denominator in enumerate(denominators):
+        row = entries[:, i, :]
+        common = gcd(*row.flat)
+        if not common:
+            return {}  # an all-zero row
+        low = next(deg for deg, terms in enumerate(row) if any(terms))
+        rows.append((row[low:] // common).T.tolist())  # per entry, ascending degree
+        scale *= Fraction(common, denominator)
         shift += low
-    for j in range(len(rows)):
-        low = min((deg for row in rows for deg in row[j]), default=0)
-        for row in rows:
-            row[j] = {deg - low: c for deg, c in row[j].items()}
-        shift += low
-    bound = prod(sum(abs(c) for poly in row for c in poly.values()) for row in rows)
-    if not bound:
-        return {}  # an all-zero row
+    bound = prod(sum(abs(c) for poly in row for c in poly) for row in rows)
     B = (4 * bound).bit_length()
     det = _bareiss_det(
-        [[sum(c << (B * deg) for deg, c in poly.items()) for poly in row] for row in rows]
+        [[sum(c << (B * deg) for deg, c in enumerate(poly) if c) for poly in row] for row in rows]
     )
     poly: dict[int, Fraction] = {}
     half, mask = 1 << (B - 1), (1 << B) - 1
@@ -542,7 +530,7 @@ def _polynomial_det(entries) -> dict[int, Fraction]:
         if digit >= half:
             digit -= 1 << B
         if digit:
-            poly[deg] = Fraction(digit, scale)
+            poly[deg] = digit * scale
         det = (det - digit) >> B
         deg += 1
     return poly
@@ -575,21 +563,17 @@ def polytree_rank_witness(graph: DirectedGraph, r: int) -> WitnessReport:
 
     Takes the graph's own spanning_polytree, which the graph always
     contains, so the certificate holds at a point of the graph's parameter
-    space. Builds the square witness system whose entries are the cumulants
-    of the special polytree parametrization as exact polynomials in zeta
-    (lyapunov._trek_polynomials, from path counts), clears each row's
-    denominators so the entries are integer polynomials, and evaluates them
-    at one power of two, 2^B, large enough that the determinant's
-    coefficients cannot overlap.
-    One integer Bareiss elimination then gives the determinant polynomial
-    exactly, read back as base-2^B digits. A nonzero polynomial certifies that the stacked
-    off-diagonal system at orders {2, r} has the maximal rank d*d - 1 for
-    generic parameters on any graph containing the polytree. A one-node
-    graph has the empty system, determinant 1.
+    space. The square witness system's entries are the cumulants of the
+    special polytree parametrization as exact polynomials in zeta
+    (_witness_entries), and _polynomial_det gives its determinant exactly.
+    A nonzero polynomial certifies that the stacked off-diagonal system at
+    orders {2, r} has the maximal rank d*d - 1 for generic parameters on any
+    graph containing the polytree. A one-node graph has the empty system,
+    determinant 1.
     """
     r = _noise_order(r)
     relabeled, order, rows, cols = _witness_layout(graph, r)
-    determinant = _polynomial_det(_witness_entry_polys(relabeled, rows, cols, r))
+    determinant = _polynomial_det(*_witness_entries(relabeled, rows, cols, r))
     if determinant and determinant[max(determinant)] < 0:
         determinant = {deg: -c for deg, c in determinant.items()}
     lowest = min(determinant) if determinant else None

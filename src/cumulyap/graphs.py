@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "DirectedGraph",
     "GraphCycleError",
-    "sparsity_project",
     "connected_components",
     "spanning_polytree",
     "topological_order",
@@ -106,14 +105,6 @@ class DirectedGraph:
 
     def __repr__(self) -> str:
         return f"DirectedGraph(d={self.d}, edges={sorted(self.edges)})"
-
-
-def sparsity_project(M: np.ndarray, graph: DirectedGraph) -> np.ndarray:
-    """Zero all drift entries the graph does not allow."""
-    M = np.asarray(M, dtype=float)
-    if M.shape != (graph.d, graph.d):
-        raise ValueError(f"drift shape {M.shape} does not match d={graph.d}")
-    return np.where(graph.drift_mask(), M, 0.0)
 
 
 def connected_components(graph: DirectedGraph) -> list[list[int]]:

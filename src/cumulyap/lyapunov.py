@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import factorial, isfinite
-from numbers import Integral
 
 import numpy as np
 
 from .graphs import DirectedGraph, topological_order
-from .tensors import SymmetricTensor, slot_replacements, unique_indices
+from .tensors import SymmetricTensor, _integer, slot_replacements, unique_indices
 
 __all__ = [
     "SingularSystemError",
@@ -164,7 +163,11 @@ def _check_special_parametrization(graph: DirectedGraph, r, zeta) -> None:
     """Raise ValueError unless (graph, r, zeta) defines a special parametrization."""
     if not graph.has_all_self_loops():
         raise ValueError("the special parametrization needs all self-loops")
-    if not (isinstance(r, Integral) and r > 0 and zeta > 0 and isfinite(zeta)):
+    try:
+        positive_r = _integer(r, "r") > 0
+    except ValueError:  # not an integer, or a bool
+        positive_r = False
+    if not (positive_r and zeta > 0 and isfinite(zeta)):
         raise ValueError(
             "the special parametrization needs a positive integer r and a "
             f"positive finite zeta, got r={r!r}, zeta={zeta!r}"
@@ -186,15 +189,17 @@ def special_drift_matrix(graph: DirectedGraph, r: int, zeta: float) -> np.ndarra
     return M
 
 
-def _trek_polynomials(graph: DirectedGraph, k: int, r: int) -> list[dict[int, Fraction]]:
+def _trek_polynomials(graph: DirectedGraph, k: int, r: int) -> tuple[np.ndarray, int]:
     """Exact order-k cumulants of the special parametrization, as polys in zeta.
 
-    Returns one degree -> coefficient dict, in ascending degree, per index of
-    unique_indices(d, k). A trek to the index's nodes with path lengths
-    l_1..l_k summing to L contributes (r/k)^(L+1) L! / prod(l_j!) at degree
-    L+1. A trek picks its path to each node independently of the others, so
-    the treks from one top sum to L! times the x^L coefficient of the
-    product over the index's nodes t of sum_l paths[l][top, t] x^l / l!,
+    Returns (numerators, denominator): numerators is an object array of ints
+    of shape (k(d-1) + 2, N), and numerators[L, p] / denominator, with the
+    one denominator k^(k(d-1)+1) ((d-1)!)^k, is the zeta^L coefficient of
+    index p of unique_indices(d, k). A trek to the index's nodes with path
+    lengths l_1..l_k summing to L contributes (r/k)^(L+1) L! / prod(l_j!) at
+    degree L+1. A trek picks its path to each node independently of the
+    others, so the treks from one top sum to L! times the x^L coefficient of
+    the product over the index's nodes t of sum_l paths[l][top, t] x^l / l!,
     where paths[l], the l-th power of the non-loop adjacency, counts the
     paths of length l. The non-loop part must be acyclic (GraphCycleError
     otherwise), so paths[l] is zero from l = d on.
@@ -212,20 +217,18 @@ def _trek_polynomials(graph: DirectedGraph, k: int, r: int) -> list[dict[int, Fr
     D = factorial(d - 1)
     egf = np.array([p * (D // factorial(l)) for l, p in enumerate(paths)])
     series = [[np.trim_zeros(egf[:, top, t], "b") for t in range(d)] for top in range(d)]
-    # weight[L] takes the scaled x^L coefficient to the zeta^(L+1) one
-    weight = [
-        Fraction(r ** (L + 1) * factorial(L), k ** (L + 1) * D**k) for L in range(k * (d - 1) + 1)
-    ]
-    polys = []
-    for index in unique_indices(d, k):
-        total = np.zeros(len(weight), dtype=object)
+    top_degree = k * (d - 1) + 1
+    numerators = np.zeros((top_degree + 1, len(unique_indices(d, k))), dtype=object)
+    for p, index in enumerate(unique_indices(d, k)):
         for top in range(d):
             factors = [series[top][t] for t in index]
             if all(map(len, factors)):  # a trek needs a path to every node
                 product = reduce(np.convolve, factors)
-                total[: len(product)] += product
-        polys.append({L + 1: w * c for L, (w, c) in enumerate(zip(weight, total)) if c})
-    return polys
+                numerators[1 : len(product) + 1, p] += product
+    # the scaled x^L coefficient times this weight is the zeta^(L+1) numerator
+    weight = [r ** (L + 1) * factorial(L) * k ** (top_degree - L - 1) for L in range(top_degree)]
+    numerators[1:] *= np.array(weight, dtype=object)[:, None]
+    return numerators, k**top_degree * D**k
 
 
 def trek_closed_form(graph: DirectedGraph, k: int, r: int, zeta: float) -> SymmetricTensor:
@@ -235,14 +238,17 @@ def trek_closed_form(graph: DirectedGraph, k: int, r: int, zeta: float) -> Symme
     tensors equal to the identity tensor at every order, the entry at a given
     index is a sum over treks to that index's nodes: a trek with path lengths
     l_1..l_k and total L contributes (r*zeta/k)**(L+1) * L! / prod(l_j!).
-    Each entry is the exact polynomial of _trek_polynomials, computed from
-    path counts and shared with the polytree witness, evaluated at zeta in
-    floating point in ascending degree.
+    Each entry is the exact polynomial of _trek_polynomials, shared with the
+    polytree witness, evaluated at zeta in floating point in ascending
+    degree.
 
     The non-loop part of the graph must be acyclic, and r and zeta are
     checked as in special_drift_matrix.
     """
     _check_special_parametrization(graph, r, zeta)
-    polys = _trek_polynomials(graph, k, r)
-    values = [sum(float(c) * zeta**deg for deg, c in poly.items()) for poly in polys]
+    numerators, denominator = _trek_polynomials(graph, k, r)
+    values = [
+        sum(float(Fraction(c, denominator)) * zeta**deg for deg, c in enumerate(column) if c)
+        for column in numerators.T
+    ]
     return SymmetricTensor(graph.d, k, np.array(values))

@@ -157,10 +157,7 @@ class SymmetricTensor:
     @classmethod
     def identity(cls, d: int, k: int) -> "SymmetricTensor":
         """Tensor with ones on the diagonal entries (i,...,i), zero elsewhere."""
-        t = cls(d, k)
-        for i in range(d):
-            t[(i,) * k] = 1.0
-        return t
+        return cls.from_diagonal(np.ones(d), k)
 
     @classmethod
     def from_diagonal(cls, diag, k: int) -> "SymmetricTensor":

@@ -40,7 +40,6 @@ from cumulyap.cumulants import (
     stack_unique,
     stacked_labels,
 )
-from cumulyap.graphs import sparsity_project
 from cumulyap.lyapunov import ModelParameters, forward_map, is_stable, solve_lyapunov
 from cumulyap.sampling import CHUNK_DRAWS, TRUNCATION_TOL
 from cumulyap.tensors import SymmetricTensor, canonical_index, unique_indices
@@ -150,7 +149,7 @@ def sparse_model_loop(graph, orders, rng) -> ModelParameters:
     order's noise diagonal, signed for odd orders."""
     d = graph.d
     for _ in range(STABLE_DRAW_TRIES):
-        M = sparsity_project(rng.uniform(-1.0, 1.0, (d, d)), graph)
+        M = np.where(graph.drift_mask(), rng.uniform(-1.0, 1.0, (d, d)), 0.0)
         for i in graph.self_loop_nodes():
             M[i, i] -= 2.0 * d
         if is_stable(M):

@@ -7,9 +7,11 @@ import pytest
 
 from cumulyap import coefficients
 from cumulyap.coefficients import (
+    _coefficient_rows,
     _noise_free_rows,
+    _polynomial_det,
     _trial_groups,
-    _witness_entry_polys,
+    _witness_entries,
     _witness_layout,
     all_edges,
     assemble_system,
@@ -34,7 +36,7 @@ from cumulyap.lyapunov import (
     solve_lyapunov,
     special_drift_matrix,
 )
-from cumulyap.tensors import SymmetricTensor, unique_indices
+from cumulyap.tensors import SymmetricTensor, canonical_index, unique_indices
 from oracles import (
     coefficient_matrix_loop,
     dense,
@@ -59,8 +61,14 @@ def chain(d):
 
 
 def witness_entries(graph, r):
+    """The witness system's entries as degree -> Fraction dicts, row by row."""
     relabeled, _, rows, cols = _witness_layout(graph, r)
-    return _witness_entry_polys(relabeled, rows, cols, r)
+    entries, denominators = _witness_entries(relabeled, rows, cols, r)
+    assert entries.dtype == object and entries.shape[1:] == (len(denominators), len(cols))
+    return [
+        [{deg: Fraction(c, den) for deg, c in enumerate(poly) if c} for poly in entries[:, i].T]
+        for i, den in enumerate(denominators)
+    ]
 
 
 def two_chain_cumulants(zeta=1.0):
@@ -132,6 +140,29 @@ def test_dual_route_identity(d, k):
     lhs = drift_coefficient_matrix(K) @ vec(M)
     rhs = lyapunov_operator_matrix(M, k) @ K.vec_unique()
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+def test_coefficient_rows_keeps_exact_integers():
+    # an object stack of Python ints past 2^64 is scattered without rounding
+    d, k = 3, 3
+    indices = unique_indices(d, k)
+    rng = np.random.default_rng(31)
+    values = np.array(
+        [[(1 << 70) + int(v) for v in rng.integers(-1000, 1000, len(indices))] for _ in range(2)],
+        dtype=object,
+    )
+    got = _coefficient_rows(values, d, k)
+    assert got.dtype == object and got.shape == (2, len(indices), d * d)
+    position = {idx: p for p, idx in enumerate(indices)}
+    for t in range(2):
+        for p, idx in enumerate(indices):
+            for c, (src, dst) in enumerate(all_edges(d)):
+                count = idx.count(dst)
+                replaced = list(idx)
+                if count:
+                    replaced[idx.index(dst)] = src
+                expected = count * values[t, position[canonical_index(replaced)]]
+                assert type(got[t, p, c]) is int and got[t, p, c] == expected
 
 
 @pytest.mark.parametrize("d,k", [(1, 3), (2, 2), (2, 5), (3, 3), (4, 2), (4, 4)])
@@ -535,6 +566,49 @@ def test_witness_matches_sympy_determinant(graph, r):
     if expected[max(expected)] < 0:
         expected = {deg: -c for deg, c in expected.items()}
     assert polytree_rank_witness(graph, r).determinant == expected
+
+
+def test_polynomial_det_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+
+    def sympy_det(entries, denominators):
+        matrix = sympy.Matrix(
+            [
+                [
+                    sympy.Add(*(sympy.Rational(int(c), den) * z**deg for deg, c in enumerate(poly)))
+                    for poly in entries[:, i].T
+                ]
+                for i, den in enumerate(denominators)
+            ]
+        )
+        det = sympy.Poly(matrix.det(method="domain-ge"), z)
+        return {deg: Fraction(int(c.p), int(c.q)) for (deg,), c in det.terms() if c}
+
+    # row 0 has the common factor 6 and the factor zeta^2, row 1 negative
+    # coefficients, row 2 the factor 4 zeta; every row a non-unit denominator
+    entries = np.zeros((5, 3, 3), dtype=object)
+    entries[2:4, 0, 0] = [6, 12]
+    entries[2, 0, 1] = -18
+    entries[0, 1, 0], entries[1, 1, 1], entries[0, 1, 2], entries[4, 1, 2] = -1, 3, 2, -1
+    entries[1, 2, 0], entries[3, 2, 2] = 4, -8
+    denominators = [5, 7, 3]
+    expected = sympy_det(entries, denominators)
+    assert expected and _polynomial_det(entries, denominators) == expected
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        n = int(rng.integers(1, 5))
+        entries = np.zeros((6, n, n), dtype=object)
+        entries[:4] = rng.integers(-50, 51, (4, n, n)) * (rng.random((4, n, n)) < 0.6)
+        for i in range(n):  # a common factor and a power of zeta per row
+            entries[:, i] = np.roll(entries[:, i] * int(rng.integers(1, 9)), int(rng.integers(0, 3)), 0)
+        denominators = [int(v) for v in rng.integers(1, 30, n)]
+        assert _polynomial_det(entries, denominators) == sympy_det(entries, denominators)
+    # an all-zero row makes the zero polynomial
+    entries = np.zeros((2, 2, 2), dtype=object)
+    entries[:, 0] = [[1, 2], [3, 4]]
+    assert _polynomial_det(entries, [1, 1]) == {}
+    assert sympy_det(entries, [1, 1]) == {}
 
 
 @pytest.mark.slow

@@ -1,6 +1,5 @@
 import re
 
-import numpy as np
 import pytest
 
 from cumulyap.graphs import (
@@ -8,7 +7,6 @@ from cumulyap.graphs import (
     GraphCycleError,
     connected_components,
     spanning_polytree,
-    sparsity_project,
     topological_order,
 )
 
@@ -85,16 +83,6 @@ def test_drift_mask_orientation():
     g = DirectedGraph(3, [(0, 1)])  # coordinate 1 feels coordinate 0
     mask = g.drift_mask()
     assert mask[1, 0] and not mask[0, 1]
-
-
-def test_sparsity_project():
-    g = DirectedGraph(2, [(0, 0), (0, 1)])
-    M = np.arange(4.0).reshape(2, 2) + 1
-    P = sparsity_project(M, g)
-    assert P[0, 0] == 1.0 and P[1, 0] == 3.0
-    assert P[0, 1] == 0.0 and P[1, 1] == 0.0
-    with pytest.raises(ValueError):
-        sparsity_project(np.eye(3), g)
 
 
 def test_connected_components():

@@ -226,6 +226,11 @@ def test_special_drift_matrix():
     g = DirectedGraph(2, [(0, 0), (1, 1), (0, 1)])
     M = special_drift_matrix(g, 3, 0.5)
     assert np.allclose(M, [[-2.0 / 3.0, 0.0], [1.0, -2.0 / 3.0]])
+    # numpy integers are integers, as for every other order
+    assert np.array_equal(special_drift_matrix(g, np.int64(3), 0.5), M)
+    assert np.array_equal(
+        trek_closed_form(g, 2, np.int64(3), 0.5).values, trek_closed_form(g, 2, 3, 0.5).values
+    )
     with pytest.raises(ValueError):
         special_drift_matrix(DirectedGraph(2, [(0, 1)]), 3, 1.0)
 
@@ -274,6 +279,7 @@ BAD_SPECIAL_PARAMETERS = [
     (3, float("inf")),
     (3, float("nan")),
     (2.5, 1.0),
+    (True, 1.0),
 ]
 
 
@@ -299,10 +305,21 @@ def random_dag(rng, d):
     return DirectedGraph(d, edges + [(i, i) for i in range(d) if rng.random() < 0.5])
 
 
+def trek_polynomials(graph, k, r):
+    """_trek_polynomials as one degree -> Fraction dict per index."""
+    numerators, denominator = _trek_polynomials(graph, k, r)
+    assert numerators.shape == (k * (graph.d - 1) + 2, len(unique_indices(graph.d, k)))
+    assert all(type(c) is int for c in numerators.flat)
+    return [
+        {deg: Fraction(c, denominator) for deg, c in enumerate(column) if c}
+        for column in numerators.T
+    ]
+
+
 def test_trek_polynomials_match_enumeration():
     # the diamond 0->1->3, 0->2->3 has four path pairs from 0 to (3, 3)
     diamond = DirectedGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    assert _trek_polynomials(diamond, 2, 3)[-1] == {
+    assert trek_polynomials(diamond, 2, 3)[-1] == {
         1: Fraction(3, 2),  # top 3
         3: Fraction(27, 2),  # tops 1 and 2
         5: 4 * Fraction(3, 2) ** 5 * 6,  # top 0: four pairs, 4!/(2!2!) = 6 each
@@ -313,7 +330,7 @@ def test_trek_polynomials_match_enumeration():
         r = int(rng.choice([3, 4, 5]))
         # the oracle walks d**k length tuples, so order r only up to d = 4
         for k in (2, 3, r) if graph.d <= 4 else (2, 3):
-            got = _trek_polynomials(graph, k, r)
+            got = trek_polynomials(graph, k, r)
             for index, poly in zip(unique_indices(graph.d, k), got):
                 assert poly == trek_polynomial_by_enumeration(graph, index, r), (graph, index)
 
