@@ -53,6 +53,17 @@ def _int_list(text: str, option: str) -> list[int]:
     return values
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds with nonnegative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return seed
+
+
 def _parse_orders(text: str) -> list[int]:
     orders = sorted(set(_int_list(text, "--orders")))
     if min(orders) < 2:
@@ -237,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", parents=[model], help="draw steady-state samples to CSV")
     sim.add_argument("--drift", help="JSON file with a square drift matrix")
     sim.add_argument("-n", type=int, required=True, help="number of draws")
-    sim.add_argument("--seed", type=int, default=None)
+    sim.add_argument("--seed", type=_seed, default=None)
     sim.add_argument("--out", required=True, help="output CSV path")
     sim.set_defaults(func=_cmd_simulate)
 
@@ -260,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="generic",
     )
     ident.add_argument("--trials", type=int, default=100)
-    ident.add_argument("--seed", type=int, default=None)
+    ident.add_argument("--seed", type=_seed, default=None)
     ident.add_argument("--out", help="output JSON path (default: stdout)")
     ident.set_defaults(func=_cmd_identifiability)
 
@@ -268,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--sizes", default=",".join(map(str, defaults.sample_sizes)))
     study.add_argument("--reps", type=int, default=defaults.n_replications)
     study.add_argument("--orders", default=",".join(map(str, defaults.orders)))
-    study.add_argument("--seed", type=int, default=defaults.seed)
+    study.add_argument("--seed", type=_seed, default=defaults.seed)
     study.add_argument("--quick", action="store_true", help="small smoke run")
     study.add_argument("--out-dir", required=True)
     study.set_defaults(func=_cmd_study)

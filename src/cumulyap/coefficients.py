@@ -65,6 +65,11 @@ __all__ = [
 ]
 
 STABLE_DRAW_TRIES = 500
+# Bit generators whose Generator draws _draw_models reads from raw words.
+_RAW_WORD_GENERATORS = ("PCG64", "PCG64DXSM", "Philox", "SFC64")
+# Drifts tested for the first trial of each window of _draw_models: where
+# most drifts are unstable, each stability call still settles about a trial.
+_HEAD_CANDIDATES = 8
 # The identifiability checks run their trials in groups whose Lyapunov
 # operators hold at most this many float entries (2 MiB).
 STACK_ELEMENTS = 1 << 18
@@ -187,36 +192,173 @@ def numerical_rank(matrix: np.ndarray):
     return int(ranks) if matrix.ndim == 2 else ranks
 
 
+def _check_stable_drift_exists(graph: DirectedGraph) -> None:
+    """Raise ValueError when no drift on the graph can be stable.
+
+    Ordered by the strongly connected parts of its edges, a drift is block
+    triangular, and a part with no self-loop has a diagonal block of trace 0,
+    hence an eigenvalue of real part >= 0: for a node on no directed cycle,
+    the eigenvalue 0.
+    """
+    reach = np.identity(graph.d, dtype=bool) | graph.drift_mask().T
+    for _ in range(graph.d.bit_length()):
+        reach = reach | reach @ reach
+    loops = set(graph.self_loop_nodes())
+    for node in range(graph.d):
+        part = np.flatnonzero(reach[node] & reach[:, node])
+        if not loops.intersection(part.tolist()):
+            where = (
+                f"node {node + 1} has no self-loop and lies on no directed cycle, "
+                "so every drift has the eigenvalue 0"
+                if len(part) == 1
+                else f"nodes {', '.join(str(i + 1) for i in part)} lie on directed "
+                "cycles with no self-loop among them, so the drift's block on them has trace 0"
+            )
+            raise ValueError(f"no drift on this graph is stable: {where}")
+
+
+def _raw_words(rng) -> np.random.BitGenerator:
+    """The bit generator of a numpy Generator whose draws _draw_models reads
+    from raw words: a uniform double is one 64-bit word, and a 32-bit integer
+    is half a word, low half first, the high half kept for the next one in
+    the state's has_uint32/uinteger."""
+    bits = getattr(rng, "bit_generator", None)
+    name = bits.state["bit_generator"] if bits is not None else type(rng).__name__
+    if not isinstance(rng, np.random.Generator) or name not in _RAW_WORD_GENERATORS:
+        raise ValueError(
+            f"random models need a numpy Generator over one of "
+            f"{', '.join(_RAW_WORD_GENERATORS)}, got {name}"
+        )
+    return bits
+
+
+def _word_layout(d: int, orders, carry: int):
+    """Where a trial whose first drift is stable reads its raw words.
+
+    The drift takes words 0..d*d-1, then each order d words of noise
+    magnitudes and, for an odd order, d sign half-words: the half carried in,
+    if any, then fresh words' low and high halves. Given whether a half is
+    carried in, returns the words of the magnitudes (orders, d), the halves
+    of the signs (odd orders, d; half h is the low (h even) or high half of
+    word h // 2, and -1 is the half carried in), the trial's length in
+    words, whether a half is carried out and the word that holds it in its
+    high half (-1: the word whose half was carried in).
+    """
+    magnitudes, signs, word, carried = [], [], d * d, -1
+    for k in orders:
+        magnitudes.append(range(word, word + d))
+        word += d
+        if k % 2:
+            fresh = d - carry
+            signs.append([2 * carried + 1] * carry + list(range(2 * word, 2 * word + fresh)))
+            word += (fresh + 1) // 2
+            carry, carried = fresh % 2, word - 1
+    return np.array(magnitudes), np.array(signs).reshape(-1, d), word, carry, carried
+
+
+def _uniform(words: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Generator.uniform(low, high) of each raw word: the top 53 bits scaled."""
+    return low + (high - low) * ((words >> 11) * 2.0**-53)
+
+
 def _draw_models(graph: DirectedGraph, orders, rng, n: int):
     """n random stable drifts respecting the graph, with diagonal noise.
 
     Returns the drifts (n, d, d) and, per sorted order k, the unique entries
-    (n, N) of the diagonal noise tensors. The draws run trial by trial, the
-    drift (redrawn until stable) and then each order's noise, so n = 1 is
+    (n, N) of the diagonal noise tensors. Each trial draws its drift (redrawn
+    until stable) and then each order's noise, so n = 1 is
     random_sparse_model and n trials take the random stream of n calls of it.
+
+    The numbers are read from blocks of the bit generator's raw words, as
+    Generator.uniform and Generator.choice read them (_raw_words), in windows
+    of trials laid out by _word_layout as if no drift were redrawn. One
+    is_stable call tests a window's drifts together with a few more
+    candidates for its first trial; the window keeps its stable prefix and
+    the next one starts at the first redraw. Then the noise of every trial is
+    read at once. At the end the generator is left where the draws one by
+    one leave it: its start state is restored, the used words are read
+    again, and the carried half is set.
     """
     d = graph.d
+    orders = sorted(_integer(k, "cumulant order") for k in orders)
+    _check_stable_drift_exists(graph)
+    bits = _raw_words(rng)
     mask = graph.drift_mask()
     loops = graph.self_loop_nodes()
-    orders = sorted(_integer(k, "cumulant order") for k in orders)
-    drifts = np.empty((n, d, d))
+    # per carried-in half (0 or 1): magnitudes, signs, length, carry out, carried word
+    magnitudes, signs, length, carry_out, carried_out = (
+        np.array(column) for column in zip(*(_word_layout(d, orders, c) for c in (0, 1)))
+    )
+    odd = [o for o, k in enumerate(orders) if k % 2]
+
+    def drifts_at(words, at):
+        M = _uniform(words[at[:, None] + np.arange(d * d)], -1.0, 1.0).reshape(-1, d, d)
+        M = np.where(mask, M, 0.0)
+        M[:, loops, loops] -= 2.0 * d
+        return M
+
+    start = bits.state
+    # Redraws read no half-words, so whether a half is carried into each trial
+    # is known before any draw; offsets[t] is where trial t starts if no drift
+    # is redrawn. Word 0 holds the start state's carried half in its high
+    # half, so every carried half is the high half of a word.
+    parity = (start["has_uint32"] + carry_out[0] * np.arange(n)) % 2
+    offsets = np.concatenate(([0], np.cumsum(length[parity])))
+    words = np.array([start["uinteger"] << 32], dtype=np.uint64)
+    at = np.empty(n, dtype=np.int64)  # the word where each trial's stable drift starts
+    pos, tries, t, span = 1, 0, 0, n
+    try:
+        while t < n:
+            if tries >= STABLE_DRAW_TRIES:
+                raise RuntimeError("found no stable drift for this sparsity pattern")
+            size = min(span, n - t)
+            heads = min(_HEAD_CANDIDATES, STABLE_DRAW_TRIES - tries)
+            # the window's trials as if none redraws, then its first trial's next drifts
+            starts = offsets[t : t + size] + (pos - offsets[t])
+            candidates = np.concatenate((starts, pos + d * d * np.arange(1, heads)))
+            end = candidates.max() + length.max()
+            if end > len(words):  # read on, at least doubling the block
+                more = bits.random_raw(max(end, 2 * len(words)) - len(words))
+                words = np.concatenate((words, more))
+            stable = is_stable(drifts_at(words, candidates)).tolist()
+            first = [stable[0], *stable[size:]]
+            if True not in first:  # the first trial redraws past its candidates
+                tries += heads
+                pos += heads * d * d
+                continue
+            j = first.index(True)
+            # with its first drift the first trial keeps the window's stable prefix;
+            # with a later one it moves the others, which are read again
+            m = 1 if j else (stable.index(False) if False in stable[:size] else size)
+            at[t : t + m] = starts[:m] + j * d * d
+            t += m
+            pos = int(at[t - 1] + length[parity[t - 1]])
+            # the next trial's first drift is known unstable when the prefix broke
+            tries = int(not j and m < size)
+            pos += tries * d * d
+            span = 2 * m
+    finally:
+        bits.state = start
+        bits.random_raw(pos - 1)
+        if odd and t:  # else the start state's carried half still stands
+            state, last = bits.state, parity[t - 1]
+            state["has_uint32"] = int(carry_out[last])
+            if carry_out[last]:
+                state["uinteger"] = int(words[at[t - 1] + carried_out[last]] >> 32)
+            bits.state = state
+
+    drifts = drifts_at(words, at)
     noise = {k: np.zeros((n, len(unique_indices(d, k)))) for k in orders}
-    diagonal = {k: [_position_lookup(d, k)[(i,) * k] for i in range(d)] for k in orders}
-    for t in range(n):
-        for _ in range(STABLE_DRAW_TRIES):
-            M = np.where(mask, rng.uniform(-1.0, 1.0, (d, d)), 0.0)
-            for i in loops:
-                M[i, i] -= 2.0 * d
-            if is_stable(M):
-                break
-        else:
-            raise RuntimeError("found no stable drift for this sparsity pattern")
-        drifts[t] = M
-        for k in orders:
-            entries = rng.uniform(0.5, 2.0, d)
-            if k % 2:
-                entries *= rng.choice([-1.0, 1.0], d)
-            noise[k][t, diagonal[k]] = entries
+    # the word whose high half is carried into each trial
+    carried_in = np.concatenate(([0], at[:-1] + carried_out[parity[:-1]]))
+    for o, k in enumerate(orders):
+        entries = _uniform(words[at[:, None] + magnitudes[parity, o]], 0.5, 2.0)
+        if k % 2:
+            half = signs[parity, odd.index(o)]
+            half = np.where(half < 0, 2 * carried_in[:, None] + 1, 2 * at[:, None] + half)
+            bit = words[half // 2] >> (32 * (half % 2) + 31).astype(np.uint64) & 1
+            entries = np.where(bit == 1, entries, -entries)
+        noise[k][:, [_position_lookup(d, k)[(i,) * k] for i in range(d)]] = entries
     return drifts, noise
 
 
@@ -227,6 +369,8 @@ def random_sparse_model(graph: DirectedGraph, orders, rng) -> ModelParameters:
     the diagonal pushed down by 2 d on self-loop nodes, redrawing until the
     drift is stable, at most STABLE_DRAW_TRIES times. Noise tensors are
     diagonal with magnitudes in [0.5, 2], signed at random for odd orders.
+    rng is a numpy Generator over PCG64, PCG64DXSM, Philox or SFC64, and
+    its stream is that of rng.uniform and rng.choice calls (_draw_models).
     """
     drifts, noise = _draw_models(graph, orders, rng, 1)
     return ModelParameters(

@@ -42,10 +42,15 @@ class SingularSystemError(ValueError):
     """The cumulant equation has no unique solution for this drift and order."""
 
 
-def is_stable(M: np.ndarray) -> bool:
-    """True when every eigenvalue of M has real part below -STABILITY_TOL."""
+def is_stable(M: np.ndarray):
+    """True when every eigenvalue of M has real part below -STABILITY_TOL.
+
+    A stack of drifts (..., d, d) gets one verdict per drift, as a bool
+    array; a single drift gets a bool.
+    """
     M = np.asarray(M, dtype=float)
-    return bool(np.max(np.linalg.eigvals(M).real) < -STABILITY_TOL)
+    stable = np.linalg.eigvals(M).real.max(axis=-1) < -STABILITY_TOL
+    return bool(stable) if M.ndim == 2 else stable
 
 
 def _eigenvalue_sum_margins(eigs: np.ndarray, k: int) -> np.ndarray:

@@ -278,6 +278,29 @@ def test_identifiability_rejects_meaningless_trials(method, trials, capsys):
     assert "trial" in capsys.readouterr().err
 
 
+def test_identifiability_names_node_without_stable_drift(capsys):
+    args = ["identifiability", "--d", "3", "--edges", "1->2", "2->3"]
+    assert main(args + ["--trials", "5", "--seed", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "error: no drift on this graph is stable: node 1 has no self-loop" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--d", "2", "-n", "10", "--out", "unused.csv"],
+        ["identifiability", "--d", "2", "--edges", "1->1", "2->2"],
+        ["study", "--quick", "--out-dir", "unused"],
+    ],
+    ids=["simulate", "identifiability", "study"],
+)
+def test_negative_seed_is_refused_by_name(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: expected a nonnegative integer, got '-1'" in capsys.readouterr().err
+
+
 def test_python_m_entry_point():
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

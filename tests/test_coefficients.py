@@ -8,6 +8,7 @@ import pytest
 from cumulyap import coefficients
 from cumulyap.coefficients import (
     _coefficient_rows,
+    _draw_models,
     _noise_free_rows,
     _polynomial_det,
     _trial_groups,
@@ -32,6 +33,7 @@ from cumulyap.lyapunov import (
     SingularSystemError,
     _solve_stacked,
     forward_map,
+    is_stable,
     lyapunov_operator_matrix,
     solve_lyapunov,
     special_drift_matrix,
@@ -356,6 +358,50 @@ def test_stacked_checks_split_large_operators():
     assert report["ranks"] == generic_ranks_loop(chain(6), 5, 6, 3)
 
 
+def generator_state(rng):
+    """The bit generator's state; the carried half only while it is flagged,
+    since numpy leaves a stale value there once the half is used."""
+    state = dict(rng.bit_generator.state)
+    if not state["has_uint32"]:
+        del state["uinteger"]
+    return repr(state)
+
+
+# d = 3 signs an odd order with one or two fresh words, so the carried half
+# alternates from trial to trial; with two odd orders it passes between them
+@pytest.mark.parametrize(
+    "graph, orders, halves, n",
+    [
+        (chain(3), [2, 3], 0, 40),
+        (chain(3), [3, 5], 1, 40),
+        (chain(3), [2, 3, 5], 1, 7),
+        (FOUR_NODE_SPARSE, [2, 3], 1, 12),
+        (FOUR_NODE_SPARSE, [2, 4], 1, 12),
+        (ONE_LOOP, [2, 3], 0, 60),
+        (ONE_LOOP, [3, 2, 5], 1, 60),
+        (chain(1), [3, 5, 7], 1, 9),
+    ],
+    ids=["odd-d-one-odd", "odd-d-two-odd", "three-orders", "even-d-carry", "even-orders",
+         "one-loop", "one-loop-carry", "one-node"],
+)
+@pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "Philox", "SFC64"])
+def test_draws_match_draw_by_draw_stream(graph, orders, halves, n, bit_generator):
+    # halves: how many 32-bit halves the generator has handed out before the draws,
+    # so with 1 it holds a carried half; n spans several windows on ONE_LOOP
+    ours, theirs = (np.random.Generator(getattr(np.random, bit_generator)(n)) for _ in "ab")
+    for rng in (ours, theirs):
+        rng.integers(0, 2, halves)
+    drifts, noise = _draw_models(graph, orders, ours, n)
+    for t in range(n):
+        want = sparse_model_loop(graph, orders, theirs)
+        assert np.array_equal(drifts[t], want.drift)
+        for k in want.orders:
+            assert np.array_equal(noise[k][t], want.noise[k].values)
+    assert generator_state(ours) == generator_state(theirs)
+    assert np.array_equal(ours.integers(0, 2, 5), theirs.integers(0, 2, 5))
+    assert np.array_equal(ours.random(3), theirs.random(3))
+
+
 def test_random_sparse_model_matches_single_draw():
     for graph in (ONE_LOOP, FOUR_NODE_SPARSE):
         ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
@@ -366,6 +412,64 @@ def test_random_sparse_model_matches_single_draw():
             assert got.orders == want.orders == [2, 3, 5]
             for k in got.orders:
                 assert np.array_equal(got.noise[k].values, want.noise[k].values)
+        assert generator_state(ours) == generator_state(theirs)
+
+
+def test_random_sparse_model_names_unsupported_generators():
+    for rng in (np.random.Generator(np.random.MT19937(0)), np.random.RandomState(0)):
+        name = r"PCG64, PCG64DXSM, Philox, SFC64, got (MT19937|RandomState)"
+        with pytest.raises(ValueError, match=name):
+            random_sparse_model(TWO_CHAIN, [2, 3], rng)
+    model = random_sparse_model(TWO_CHAIN, [2, 3], np.random.Generator(np.random.SFC64(0)))
+    assert model.orders == [2, 3]
+
+
+def test_exhausted_redraws_leave_generator_as_the_loop():
+    # a loop on one node of a 3-cycle passes the structural check, yet no
+    # drift is stable: the characteristic polynomial lacks its middle terms
+    graph = DirectedGraph.from_edge_list(3, ["1->1", "1->2", "2->3", "3->1"])
+    ours, theirs = np.random.default_rng(4), np.random.default_rng(4)
+    ours.integers(0, 2, 1)
+    theirs.integers(0, 2, 1)
+    with pytest.raises(RuntimeError, match="found no stable drift"):
+        _draw_models(graph, [3], ours, 3)
+    with pytest.raises(RuntimeError, match="found no stable drift"):
+        sparse_model_loop(graph, [3], theirs)
+    assert generator_state(ours) == generator_state(theirs)
+
+
+@pytest.mark.parametrize(
+    "edges, named",
+    [
+        (["1->2", "2->3"], "node 1 has no self-loop and lies on no directed cycle"),
+        (["1->1", "1->2", "3->3"], "node 2 has no self-loop and lies on no directed cycle"),
+        (["3->3", "1->2", "2->1", "1->3"], "nodes 1, 2 lie on directed cycles with no self-loop"),
+    ],
+)
+def test_draws_refuse_graphs_without_stable_drifts(edges, named):
+    graph = DirectedGraph.from_edge_list(3, edges)
+    rng = np.random.default_rng(0)
+    before = generator_state(rng)
+    with pytest.raises(ValueError, match=f"no drift on this graph is stable: {named}"):
+        random_sparse_model(graph, [2, 3], rng)
+    with pytest.raises(ValueError, match=named):
+        generic_identifiability_check(graph, 3, n_trials=5, seed=0)
+    assert generator_state(rng) == before  # refused before any draw
+
+
+def test_generic_check_tests_stability_once(monkeypatch):
+    calls = []
+
+    def counting(M):
+        calls.append(np.shape(M))
+        return is_stable(M)
+
+    monkeypatch.setattr(coefficients, "is_stable", counting)
+    report = generic_identifiability_check(chain(4), 3, n_trials=100, seed=8)
+    assert report["ranks"] == generic_ranks_loop(chain(4), 3, 100, 8)
+    # every chain drift is stable: one window, the 100 trials plus the first
+    # trial's further candidates
+    assert calls == [(100 + coefficients._HEAD_CANDIDATES - 1, 4, 4)]
 
 
 def test_stacked_operator_and_rank_match_single():

@@ -43,6 +43,18 @@ def test_is_stable():
     assert not is_stable(np.array([[1.0]]))
 
 
+def test_is_stable_stack_matches_single():
+    rng = np.random.default_rng(40)
+    drifts = rng.normal(size=(2, 30, 3, 3)) - 1.5 * np.eye(3)  # stable and unstable
+    drifts[0, 0] = [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]  # on the axis
+    stacked = is_stable(drifts)
+    assert stacked.shape == (2, 30) and stacked.dtype == bool
+    assert stacked.tolist() == [[is_stable(M) for M in row] for row in drifts]
+    assert 0 < stacked.sum() < stacked.size
+    assert type(is_stable(drifts[0, 1])) is bool
+    assert is_stable(np.zeros((0, 3, 3))).shape == (0,)
+
+
 def test_solve_lyapunov_order2_matches_scipy():
     rng = np.random.default_rng(2)
     for d in (2, 3, 5):
