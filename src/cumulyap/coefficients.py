@@ -310,7 +310,13 @@ def _draw_models(graph: DirectedGraph, orders, rng, n: int):
     try:
         while t < n:
             if tries >= STABLE_DRAW_TRIES:
-                raise RuntimeError("found no stable drift for this sparsity pattern")
+                edges = ", ".join(f"{a + 1}->{b + 1}" for a, b in sorted(graph.edges))
+                raise RuntimeError(
+                    f"found no stable drift for this sparsity pattern in {tries} draws "
+                    f"on the edges {edges}; the pattern may admit no stable drift at "
+                    "all, e.g. when a coefficient of the characteristic polynomial "
+                    "vanishes identically"
+                )
             size = min(span, n - t)
             heads = min(_HEAD_CANDIDATES, STABLE_DRAW_TRIES - tries)
             # the window's trials as if none redraws, then its first trial's next drifts

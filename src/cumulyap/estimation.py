@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .coefficients import _above_cutoff, _noise_free_rows, assemble_system
 from .lyapunov import is_stable, lyapunov_operator_matrix
@@ -163,9 +162,11 @@ def _covariance(drift, cumulants, omega, fit: _Fit) -> AsymptoticCovariance:
         )
     unit = drift / np.linalg.norm(drift)
     orders = sorted(cumulants)
-    B = scipy.linalg.block_diag(
-        *(lyapunov_operator_matrix(unit, k)[_noise_free_rows(d, k)] for k in orders)
-    )
+    blocks = [lyapunov_operator_matrix(unit, k)[_noise_free_rows(d, k)] for k in orders]
+    ends = np.cumsum([b.shape for b in blocks], axis=0)
+    B = np.zeros(ends[-1])
+    for b, (r, c) in zip(blocks, ends):
+        B[r - b.shape[0] : r, c - b.shape[1] : c] = b
     n = B.shape[1]
     if np.shape(omega) != (n, n):
         raise ValueError(f"omega must be {n} x {n} for orders {orders}")

@@ -14,8 +14,9 @@ the cumulant layer (moments to cumulants and back, the cumulant Jacobian and
 the population covariance built on them), the full (n, features) monomial
 feature matrix with its means and np.cov covariance, a nonparametric
 bootstrap of that covariance, the n-mode product of a dense tensor with
-a matrix, and the identifiability checks' former trial-by-trial loops, with
-their own copy of the random model draw.
+a matrix, the identifiability checks' former trial-by-trial loops, with
+their own copy of the random model draw, and the asymptotic covariance with
+its block-diagonal operator built by scipy.linalg.block_diag.
 """
 
 from collections import Counter
@@ -30,6 +31,7 @@ import scipy.linalg
 
 from cumulyap.coefficients import (
     STABLE_DRAW_TRIES,
+    _noise_free_rows,
     assemble_system,
     drift_coefficient_matrix,
     numerical_rank,
@@ -40,7 +42,14 @@ from cumulyap.cumulants import (
     stack_unique,
     stacked_labels,
 )
-from cumulyap.lyapunov import ModelParameters, forward_map, is_stable, solve_lyapunov
+from cumulyap.estimation import _fit
+from cumulyap.lyapunov import (
+    ModelParameters,
+    forward_map,
+    is_stable,
+    lyapunov_operator_matrix,
+    solve_lyapunov,
+)
 from cumulyap.sampling import CHUNK_DRAWS, TRUNCATION_TOL
 from cumulyap.tensors import SymmetricTensor, canonical_index, unique_indices
 
@@ -466,3 +475,18 @@ def bootstrap_omega(
         resampled = samples[rng.integers(0, n, size=n)]
         draws.append(stack_unique(empirical_cumulants(resampled, orders)))
     return n * np.cov(np.asarray(draws), rowvar=False, ddof=1)
+
+
+def covariance_block_diag(drift, cumulants, omega) -> np.ndarray:
+    """asymptotic_covariance's matrix with B, each order's noise-free rows of
+    the unit drift's Lyapunov operator on the diagonal, built by
+    scipy.linalg.block_diag, and the estimator's own pseudoinverse of the
+    cumulants' system (estimation._fit)."""
+    drift = np.asarray(drift, dtype=float)
+    d = drift.shape[0]
+    unit = drift / np.linalg.norm(drift)
+    B = scipy.linalg.block_diag(
+        *(lyapunov_operator_matrix(unit, k)[_noise_free_rows(d, k)] for k in sorted(cumulants))
+    )
+    J = -_fit(assemble_system(cumulants)).pinv @ B
+    return J @ np.asarray(omega, dtype=float) @ J.T

@@ -285,6 +285,17 @@ def test_identifiability_names_node_without_stable_drift(capsys):
     assert "error: no drift on this graph is stable: node 1 has no self-loop" in err
 
 
+def test_identifiability_names_draws_and_edges_without_stable_drift(capsys):
+    # passes the structural check, but the characteristic polynomial of a
+    # 3-cycle with one self-loop has no linear term, so no drift is stable
+    args = ["identifiability", "--d", "3", "--edges", "1->1", "1->2", "2->3", "3->1"]
+    assert main(args + ["--trials", "5", "--seed", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "error: found no stable drift for this sparsity pattern" in err
+    assert f"in {coefficients.STABLE_DRAW_TRIES} draws" in err
+    assert "on the edges 1->1, 1->2, 2->3, 3->1;" in err
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -311,6 +322,46 @@ def test_python_m_entry_point():
     assert proc.returncode == 0
     assert "usage: cumulyap" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+from pathlib import Path
+
+import cumulyap
+from cumulyap import cli
+
+def check(step):
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    assert not loaded, f"{step} imported {loaded[:5]}"
+
+out = Path(sys.argv[1])
+graph = ["identifiability", "--d", "2", "--edges", "1->1", "2->2", "1->2"]
+check("import cumulyap")
+for command in (
+    ["simulate", "--d", "2", "-n", "2000", "--seed", "7", "--out", str(out / "sim.csv")],
+    ["estimate", "--samples", str(out / "sim.csv"), "--out", str(out / "est.json")],
+    graph + ["--trials", "10", "--seed", "1", "--out", str(out / "generic.json")],
+    graph + ["--method", "witness", "--out", str(out / "witness.json")],
+    ["study", "--quick", "--sizes", "400", "--reps", "2", "--out-dir", str(out / "study")],
+):
+    assert cli.main(command) == 0, command
+    check(command[0])
+"""
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    # numpy is the one heavy runtime dependency: importing cumulyap and
+    # running each command leaves no scipy module loaded
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "witness.json").exists()
+    assert (tmp_path / "study" / "study.json").exists()
 
 
 def test_study_quick_outputs(tmp_path):

@@ -24,6 +24,7 @@ from cumulyap.sampling import (
     population_state_cumulants,
     study_drift_matrix,
 )
+from oracles import covariance_block_diag
 
 
 def test_least_singular_vector_square():
@@ -147,6 +148,23 @@ def test_asymptotic_covariance_shape_and_kernel_invariance():
     unit = M.reshape(-1, order="F")
     unit = unit / np.linalg.norm(unit)
     assert abs(unit @ out.matrix @ unit) < 1e-8 * out.total
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("orders", [(2, 3), (2, 3, 4), (3, 4)])
+def test_asymptotic_covariance_equals_block_diag_oracle(d, orders):
+    # B is placed block by block into one zeros array; placement changes no
+    # value, so the covariance equals the block_diag route bit for bit
+    M = study_drift_matrix(d, 10.0, 0.2)
+    levy = LevySpec(np.full(d, 0.5), TwoPointJumps(1.0, 0.8, 0.3))
+    cums = population_state_cumulants(M, levy, orders)
+    size = len(stacked_labels(d, orders))
+    G = np.random.default_rng(d).normal(size=(size, size))
+    omega = G @ G.T
+    out = asymptotic_covariance(2.0 * M, cums, omega)
+    expected = covariance_block_diag(2.0 * M, cums, omega)
+    assert np.array_equal(out.matrix, expected)
+    assert out.total == float(np.trace(expected))
 
 
 def test_asymptotic_covariance_rejects_misaligned_omega():
