@@ -65,11 +65,6 @@ __all__ = [
 ]
 
 STABLE_DRAW_TRIES = 500
-# Bit generators whose Generator draws _draw_models reads from raw words.
-_RAW_WORD_GENERATORS = ("PCG64", "PCG64DXSM", "Philox", "SFC64")
-# Drifts tested for the first trial of each window of _draw_models: where
-# most drifts are unstable, each stability call still settles about a trial.
-_HEAD_CANDIDATES = 8
 # The identifiability checks run their trials in groups whose Lyapunov
 # operators hold at most this many float entries (2 MiB).
 STACK_ELEMENTS = 1 << 18
@@ -217,153 +212,49 @@ def _check_stable_drift_exists(graph: DirectedGraph) -> None:
             raise ValueError(f"no drift on this graph is stable: {where}")
 
 
-def _raw_words(rng) -> np.random.BitGenerator:
-    """The bit generator of a numpy Generator whose draws _draw_models reads
-    from raw words: a uniform double is one 64-bit word, and a 32-bit integer
-    is half a word, low half first, the high half kept for the next one in
-    the state's has_uint32/uinteger."""
-    bits = getattr(rng, "bit_generator", None)
-    name = bits.state["bit_generator"] if bits is not None else type(rng).__name__
-    if not isinstance(rng, np.random.Generator) or name not in _RAW_WORD_GENERATORS:
-        raise ValueError(
-            f"random models need a numpy Generator over one of "
-            f"{', '.join(_RAW_WORD_GENERATORS)}, got {name}"
-        )
-    return bits
-
-
-def _word_layout(d: int, orders, carry: int):
-    """Where a trial whose first drift is stable reads its raw words.
-
-    The drift takes words 0..d*d-1, then each order d words of noise
-    magnitudes and, for an odd order, d sign half-words: the half carried in,
-    if any, then fresh words' low and high halves. Given whether a half is
-    carried in, returns the words of the magnitudes (orders, d), the halves
-    of the signs (odd orders, d; half h is the low (h even) or high half of
-    word h // 2, and -1 is the half carried in), the trial's length in
-    words, whether a half is carried out and the word that holds it in its
-    high half (-1: the word whose half was carried in).
-    """
-    magnitudes, signs, word, carried = [], [], d * d, -1
-    for k in orders:
-        magnitudes.append(range(word, word + d))
-        word += d
-        if k % 2:
-            fresh = d - carry
-            signs.append([2 * carried + 1] * carry + list(range(2 * word, 2 * word + fresh)))
-            word += (fresh + 1) // 2
-            carry, carried = fresh % 2, word - 1
-    return np.array(magnitudes), np.array(signs).reshape(-1, d), word, carry, carried
-
-
-def _uniform(words: np.ndarray, low: float, high: float) -> np.ndarray:
-    """Generator.uniform(low, high) of each raw word: the top 53 bits scaled."""
-    return low + (high - low) * ((words >> 11) * 2.0**-53)
-
-
 def _draw_models(graph: DirectedGraph, orders, rng, n: int):
     """n random stable drifts respecting the graph, with diagonal noise.
 
     Returns the drifts (n, d, d) and, per sorted order k, the unique entries
-    (n, N) of the diagonal noise tensors. Each trial draws its drift (redrawn
-    until stable) and then each order's noise, so n = 1 is
-    random_sparse_model and n trials take the random stream of n calls of it.
-
-    The numbers are read from blocks of the bit generator's raw words, as
-    Generator.uniform and Generator.choice read them (_raw_words), in windows
-    of trials laid out by _word_layout as if no drift were redrawn. One
-    is_stable call tests a window's drifts together with a few more
-    candidates for its first trial; the window keeps its stable prefix and
-    the next one starts at the first redraw. Then the noise of every trial is
-    read at once. At the end the generator is left where the draws one by
-    one leave it: its start state is restored, the used words are read
-    again, and the carried half is set.
+    (n, N) of the diagonal noise tensors. The n drifts come first, from one
+    rng.uniform(-1, 1) call; the unstable ones are redrawn together, round by
+    round, at most STABLE_DRAW_TRIES draws each. Then each order takes one
+    rng.uniform(0.5, 2) call for its magnitudes and, when odd, one
+    rng.choice([-1, 1]) call for its signs. So n = 1 takes the stream of
+    one draw-by-draw model, and rng may be any numpy Generator or
+    RandomState.
     """
     d = graph.d
     orders = sorted(_integer(k, "cumulant order") for k in orders)
     _check_stable_drift_exists(graph)
-    bits = _raw_words(rng)
     mask = graph.drift_mask()
     loops = graph.self_loop_nodes()
-    # per carried-in half (0 or 1): magnitudes, signs, length, carry out, carried word
-    magnitudes, signs, length, carry_out, carried_out = (
-        np.array(column) for column in zip(*(_word_layout(d, orders, c) for c in (0, 1)))
-    )
-    odd = [o for o, k in enumerate(orders) if k % 2]
 
-    def drifts_at(words, at):
-        M = _uniform(words[at[:, None] + np.arange(d * d)], -1.0, 1.0).reshape(-1, d, d)
-        M = np.where(mask, M, 0.0)
+    def draw(m):
+        M = np.where(mask, rng.uniform(-1.0, 1.0, (m, d, d)), 0.0)
         M[:, loops, loops] -= 2.0 * d
         return M
 
-    start = bits.state
-    # Redraws read no half-words, so whether a half is carried into each trial
-    # is known before any draw; offsets[t] is where trial t starts if no drift
-    # is redrawn. Word 0 holds the start state's carried half in its high
-    # half, so every carried half is the high half of a word.
-    parity = (start["has_uint32"] + carry_out[0] * np.arange(n)) % 2
-    offsets = np.concatenate(([0], np.cumsum(length[parity])))
-    words = np.array([start["uinteger"] << 32], dtype=np.uint64)
-    at = np.empty(n, dtype=np.int64)  # the word where each trial's stable drift starts
-    pos, tries, t, span = 1, 0, 0, n
-    try:
-        while t < n:
-            if tries >= STABLE_DRAW_TRIES:
-                edges = ", ".join(f"{a + 1}->{b + 1}" for a, b in sorted(graph.edges))
-                raise RuntimeError(
-                    f"found no stable drift for this sparsity pattern in {tries} draws "
-                    f"on the edges {edges}; the pattern may admit no stable drift at "
-                    "all, e.g. when a coefficient of the characteristic polynomial "
-                    "vanishes identically"
-                )
-            size = min(span, n - t)
-            heads = min(_HEAD_CANDIDATES, STABLE_DRAW_TRIES - tries)
-            # the window's trials as if none redraws, then its first trial's next drifts
-            starts = offsets[t : t + size] + (pos - offsets[t])
-            candidates = np.concatenate((starts, pos + d * d * np.arange(1, heads)))
-            end = candidates.max() + length.max()
-            if end > len(words):  # read on, at least doubling the block
-                more = bits.random_raw(max(end, 2 * len(words)) - len(words))
-                words = np.concatenate((words, more))
-            stable = is_stable(drifts_at(words, candidates)).tolist()
-            first = [stable[0], *stable[size:]]
-            if True not in first:  # the first trial redraws past its candidates
-                tries += heads
-                pos += heads * d * d
-                continue
-            j = first.index(True)
-            # with its first drift the first trial keeps the window's stable prefix;
-            # with a later one it moves the others, which are read again
-            m = 1 if j else (stable.index(False) if False in stable[:size] else size)
-            at[t : t + m] = starts[:m] + j * d * d
-            t += m
-            pos = int(at[t - 1] + length[parity[t - 1]])
-            # the next trial's first drift is known unstable when the prefix broke
-            tries = int(not j and m < size)
-            pos += tries * d * d
-            span = 2 * m
-    finally:
-        bits.state = start
-        bits.random_raw(pos - 1)
-        if odd and t:  # else the start state's carried half still stands
-            state, last = bits.state, parity[t - 1]
-            state["has_uint32"] = int(carry_out[last])
-            if carry_out[last]:
-                state["uinteger"] = int(words[at[t - 1] + carried_out[last]] >> 32)
-            bits.state = state
-
-    drifts = drifts_at(words, at)
+    drifts = draw(n)
+    redraw = np.arange(n)
+    for tries in range(1, STABLE_DRAW_TRIES + 1):
+        redraw = redraw[~is_stable(drifts[redraw])]
+        if not len(redraw):
+            break
+        if tries == STABLE_DRAW_TRIES:
+            edges = ", ".join(f"{a + 1}->{b + 1}" for a, b in sorted(graph.edges))
+            raise RuntimeError(
+                f"found no stable drift for this sparsity pattern in {tries} draws "
+                f"on the edges {edges}; the pattern may admit no stable drift at "
+                "all, e.g. when a coefficient of the characteristic polynomial "
+                "vanishes identically"
+            )
+        drifts[redraw] = draw(len(redraw))
     noise = {k: np.zeros((n, len(unique_indices(d, k)))) for k in orders}
-    # the word whose high half is carried into each trial
-    carried_in = np.concatenate(([0], at[:-1] + carried_out[parity[:-1]]))
-    for o, k in enumerate(orders):
-        entries = _uniform(words[at[:, None] + magnitudes[parity, o]], 0.5, 2.0)
+    for k in orders:
+        entries = rng.uniform(0.5, 2.0, (n, d))
         if k % 2:
-            half = signs[parity, odd.index(o)]
-            half = np.where(half < 0, 2 * carried_in[:, None] + 1, 2 * at[:, None] + half)
-            bit = words[half // 2] >> (32 * (half % 2) + 31).astype(np.uint64) & 1
-            entries = np.where(bit == 1, entries, -entries)
+            entries *= rng.choice([-1.0, 1.0], (n, d))
         noise[k][:, [_position_lookup(d, k)[(i,) * k] for i in range(d)]] = entries
     return drifts, noise
 
@@ -375,8 +266,8 @@ def random_sparse_model(graph: DirectedGraph, orders, rng) -> ModelParameters:
     the diagonal pushed down by 2 d on self-loop nodes, redrawing until the
     drift is stable, at most STABLE_DRAW_TRIES times. Noise tensors are
     diagonal with magnitudes in [0.5, 2], signed at random for odd orders.
-    rng is a numpy Generator over PCG64, PCG64DXSM, Philox or SFC64, and
-    its stream is that of rng.uniform and rng.choice calls (_draw_models).
+    rng is any numpy Generator or RandomState; the model is one draw-by-draw
+    model of its rng.uniform and rng.choice calls (_draw_models with n = 1).
     """
     drifts, noise = _draw_models(graph, orders, rng, 1)
     return ModelParameters(
@@ -384,11 +275,11 @@ def random_sparse_model(graph: DirectedGraph, orders, rng) -> ModelParameters:
     )
 
 
-def _trial_groups(n_trials: int, d: int, k: int) -> list[int]:
-    """Sizes of the groups the trials run in: each group's order-k operators
+def _trial_groups(n_trials: int, d: int, k: int) -> list[slice]:
+    """The groups of trials solved together: each group's order-k operators
     (N x N per trial) hold at most STACK_ELEMENTS entries, one trial at least."""
     size = max(1, STACK_ELEMENTS // len(unique_indices(d, k)) ** 2)
-    return [min(size, n_trials - start) for start in range(0, n_trials, size)]
+    return [slice(start, start + size) for start in range(0, n_trials, size)]
 
 
 def _noise_order(r) -> int:
@@ -411,9 +302,9 @@ def generic_identifiability_check(
     for orders {2, r}, r >= 3, with all d*d columns, and records its rank.
     The rank can never exceed d*d minus the number of weakly connected
     components; hitting that bound on most of n_trials >= 1 draws certifies
-    the generic rank. The trials are drawn one by one and then solved,
-    assembled and ranked as stacks, in groups of _trial_groups; the ranks
-    are those of one trial at a time.
+    the generic rank. All trials are drawn in one _draw_models call, then
+    solved, assembled and ranked as stacks, in groups of _trial_groups; the
+    ranks are those of one trial at a time, whatever the grouping.
     """
     r = _noise_order(r)
     n_trials = _integer(n_trials, "trial count")
@@ -422,11 +313,10 @@ def generic_identifiability_check(
     orders = [2, r]
     d = graph.d
     expected = d * d - len(connected_components(graph))
-    rng = np.random.default_rng(seed)
+    drifts, noise = _draw_models(graph, orders, np.random.default_rng(seed), n_trials)
     ranks = []
-    for size in _trial_groups(n_trials, d, r):
-        drifts, noise = _draw_models(graph, orders, rng, size)
-        kappas = {k: _solve_stacked(drifts, noise[k], k) for k in orders}
+    for group in _trial_groups(n_trials, d, r):
+        kappas = {k: _solve_stacked(drifts[group], noise[k][group], k) for k in orders}
         ranks += numerical_rank(_noise_free_system(kappas, d)).tolist()
     achieved = sum(rank == expected for rank in ranks)
     return {
@@ -482,11 +372,10 @@ def known_noise_identifiability_check(
         and abs(predicted) > 0.0
     )
 
-    rng = np.random.default_rng(seed)
+    drifts, noise = _draw_models(graph, [r], np.random.default_rng(seed), n_trials)
     ranks = []
-    for size in _trial_groups(n_trials, d, r):
-        drifts, noise = _draw_models(graph, [r], rng, size)
-        kappas = _solve_stacked(drifts, noise[r], r)
+    for group in _trial_groups(n_trials, d, r):
+        kappas = _solve_stacked(drifts[group], noise[r][group], r)
         ranks += numerical_rank(_coefficient_rows(kappas, d, r, rows, edges)).tolist()
     achieved = sum(rank == len(edges) for rank in ranks)
     return {

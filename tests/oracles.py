@@ -14,8 +14,9 @@ the cumulant layer (moments to cumulants and back, the cumulant Jacobian and
 the population covariance built on them), the full (n, features) monomial
 feature matrix with its means and np.cov covariance, a nonparametric
 bootstrap of that covariance, the n-mode product of a dense tensor with
-a matrix, the identifiability checks' former trial-by-trial loops, with
-their own copy of the random model draw, and the asymptotic covariance with
+a matrix, the identifiability checks' former trial-by-trial loops on the
+models the checks draw, their own copy of the draw-by-draw random model
+(which one drawn model equals), and the asymptotic covariance with
 its block-diagonal operator built by scipy.linalg.block_diag.
 """
 
@@ -31,6 +32,7 @@ import scipy.linalg
 
 from cumulyap.coefficients import (
     STABLE_DRAW_TRIES,
+    _draw_models,
     _noise_free_rows,
     assemble_system,
     drift_coefficient_matrix,
@@ -174,12 +176,20 @@ def sparse_model_loop(graph, orders, rng) -> ModelParameters:
     return ModelParameters(M, noise)
 
 
-def generic_ranks_loop(graph, r: int, n_trials: int, seed) -> list[int]:
-    """generic_identifiability_check's ranks, one model, solve and SVD per trial."""
-    rng = np.random.default_rng(seed)
+def drawn_models(graph, orders, n_trials: int, seed) -> list[ModelParameters]:
+    """The models an identifiability check with this seed draws, one per trial."""
+    drifts, noise = _draw_models(graph, orders, np.random.default_rng(seed), n_trials)
     return [
-        numerical_rank(assemble_system(forward_map(sparse_model_loop(graph, [2, r], rng))))
-        for _ in range(n_trials)
+        ModelParameters(M, {k: SymmetricTensor(graph.d, k, C[t]) for k, C in noise.items()})
+        for t, M in enumerate(drifts)
+    ]
+
+
+def generic_ranks_loop(graph, r: int, n_trials: int, seed) -> list[int]:
+    """generic_identifiability_check's ranks, one solve and SVD per trial."""
+    return [
+        numerical_rank(assemble_system(forward_map(params)))
+        for params in drawn_models(graph, [2, r], n_trials, seed)
     ]
 
 
@@ -187,10 +197,8 @@ def known_noise_ranks_loop(graph, r: int, n_trials: int, seed) -> list[int]:
     """known_noise_identifiability_check's ranks, one trial at a time."""
     edges = sorted(graph.edges)
     rows = [canonical_index((src,) * (r - 1) + (dst,)) for src, dst in edges]
-    rng = np.random.default_rng(seed)
     ranks = []
-    for _ in range(n_trials):
-        params = sparse_model_loop(graph, [r], rng)
+    for params in drawn_models(graph, [r], n_trials, seed):
         kappa = solve_lyapunov(params.drift, params.noise[r])
         ranks.append(numerical_rank(drift_coefficient_matrix(kappa, rows=rows, columns=edges)))
     return ranks

@@ -145,3 +145,16 @@ def test_dataclass_fields_are_read():
         if field.name not in read
     ]
     assert not unread, f"dataclass fields no caller reads: {unread}"
+
+
+def test_library_reads_no_numpy_generator_internals():
+    # the library draws through numpy's public Generator and RandomState
+    # calls; the raw words and the carried 32-bit half are numpy's own
+    internals = ("has_uint32", "uinteger", "random_raw")
+    found = [
+        f"{path.relative_to(REPO)}: {name}"
+        for path in sorted((REPO / "src").rglob("*.py"))
+        for name in internals
+        if name in path.read_text()
+    ]
+    assert not found, f"src/ reads numpy generator internals: {found}"

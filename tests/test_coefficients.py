@@ -340,18 +340,22 @@ def test_stacked_generic_check_with_stability_redraws():
 
 @pytest.mark.parametrize("n_trials, groups", [(1, [1]), (2, [2]), (10, [3, 3, 3, 1])])
 def test_stacked_checks_span_groups(monkeypatch, n_trials, groups):
+    checks = (generic_identifiability_check, known_noise_identifiability_check)
+    one_group = [check(chain(3), 3, n_trials=n_trials, seed=5) for check in checks]
     # groups of three trials: 10 is not a multiple of the group size
     monkeypatch.setattr(coefficients, "STACK_ELEMENTS", 3 * len(unique_indices(3, 3)) ** 2)
-    assert _trial_groups(n_trials, 3, 3) == groups
+    assert [len(range(n_trials)[g]) for g in _trial_groups(n_trials, 3, 3)] == groups
     report = generic_identifiability_check(chain(3), 3, n_trials=n_trials, seed=5)
     assert report["ranks"] == generic_ranks_loop(chain(3), 3, n_trials, 5)
+    assert report == one_group[0]
     report = known_noise_identifiability_check(chain(3), 3, n_trials=n_trials, seed=5)
     assert report["ranks"] == known_noise_ranks_loop(chain(3), 3, n_trials, 5)
+    assert report == one_group[1]
 
 
 def test_stacked_checks_split_large_operators():
     # d = 6 at r = 5: 252 x 252 operators, so the default budget makes groups of 4
-    assert _trial_groups(6, 6, 5) == [4, 2]
+    assert [len(range(6)[g]) for g in _trial_groups(6, 6, 5)] == [4, 2]
     report = known_noise_identifiability_check(chain(6), 5, n_trials=6, seed=3)
     assert report["ranks"] == known_noise_ranks_loop(chain(6), 5, 6, 3)
     report = generic_identifiability_check(chain(6), 5, n_trials=6, seed=3)
@@ -359,16 +363,33 @@ def test_stacked_checks_split_large_operators():
 
 
 def generator_state(rng):
-    """The bit generator's state; the carried half only while it is flagged,
+    """The generator's state; the carried half only while it is flagged,
     since numpy leaves a stale value there once the half is used."""
-    state = dict(rng.bit_generator.state)
-    if not state["has_uint32"]:
-        del state["uinteger"]
+    if isinstance(rng, np.random.Generator):
+        state = dict(rng.bit_generator.state)
+    else:
+        state = rng.get_state(legacy=False)
+    if not state.get("has_uint32"):
+        state.pop("uinteger", None)
     return repr(state)
 
 
-# d = 3 signs an odd order with one or two fresh words, so the carried half
-# alternates from trial to trial; with two odd orders it passes between them
+def make_generator(name, seed):
+    if name == "RandomState":
+        return np.random.RandomState(seed)
+    return np.random.Generator(getattr(np.random, name)(seed))
+
+
+def bits(rng, n):
+    """n random bits, by the integer call of a Generator or a RandomState."""
+    if isinstance(rng, np.random.Generator):
+        return rng.integers(0, 2, n)
+    return rng.randint(0, 2, n)
+
+
+# d = 3 signs an odd order with an odd number of 32-bit halves, so numpy's
+# carried half alternates from model to model; with two odd orders it passes
+# between them
 @pytest.mark.parametrize(
     "graph, orders, halves, n",
     [
@@ -384,21 +405,24 @@ def generator_state(rng):
     ids=["odd-d-one-odd", "odd-d-two-odd", "three-orders", "even-d-carry", "even-orders",
          "one-loop", "one-loop-carry", "one-node"],
 )
-@pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "Philox", "SFC64"])
+@pytest.mark.parametrize(
+    "bit_generator", ["PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937", "RandomState"]
+)
 def test_draws_match_draw_by_draw_stream(graph, orders, halves, n, bit_generator):
-    # halves: how many 32-bit halves the generator has handed out before the draws,
-    # so with 1 it holds a carried half; n spans several windows on ONE_LOOP
-    ours, theirs = (np.random.Generator(getattr(np.random, bit_generator)(n)) for _ in "ab")
+    # n one-model draws in a row take the stream of n draw-by-draw models,
+    # the generator's state after them included; halves: how many 32-bit
+    # halves the generator has handed out before, so with 1 it holds a carried half
+    ours, theirs = (make_generator(bit_generator, n) for _ in "ab")
     for rng in (ours, theirs):
-        rng.integers(0, 2, halves)
-    drifts, noise = _draw_models(graph, orders, ours, n)
-    for t in range(n):
+        bits(rng, halves)
+    for _ in range(n):
+        drifts, noise = _draw_models(graph, orders, ours, 1)
         want = sparse_model_loop(graph, orders, theirs)
-        assert np.array_equal(drifts[t], want.drift)
+        assert np.array_equal(drifts[0], want.drift)
         for k in want.orders:
-            assert np.array_equal(noise[k][t], want.noise[k].values)
+            assert np.array_equal(noise[k][0], want.noise[k].values)
     assert generator_state(ours) == generator_state(theirs)
-    assert np.array_equal(ours.integers(0, 2, 5), theirs.integers(0, 2, 5))
+    assert np.array_equal(bits(ours, 5), bits(theirs, 5))
     assert np.array_equal(ours.random(3), theirs.random(3))
 
 
@@ -415,13 +439,46 @@ def test_random_sparse_model_matches_single_draw():
         assert generator_state(ours) == generator_state(theirs)
 
 
-def test_random_sparse_model_names_unsupported_generators():
+@pytest.mark.parametrize(
+    "graph, orders",
+    [(chain(3), [2, 3]), (FOUR_NODE_SPARSE, [3, 2, 5]), (ONE_LOOP, [2, 4, 3]), (chain(1), [3, 4])],
+    ids=["chain3", "four-sparse", "one-loop", "one-node"],
+)
+def test_draws_keep_the_model_contract(graph, orders):
+    n, d = 300, graph.d
+    drifts, noise = _draw_models(graph, orders, np.random.default_rng(17), n)
+    assert drifts.shape == (n, d, d) and sorted(noise) == sorted(orders)
+    assert np.all(drifts[:, ~graph.drift_mask()] == 0.0)  # off-pattern entries exactly 0
+    shift = 2.0 * d * np.diag(np.isin(np.arange(d), graph.self_loop_nodes()))
+    assert np.all(np.abs(drifts + shift) <= 1.0)  # uniform on [-1, 1] before the shift
+    assert np.all(is_stable(drifts))
+    for k in orders:
+        diagonal = [unique_indices(d, k).index((i,) * k) for i in range(d)]
+        entries = noise[k][:, diagonal]
+        assert np.all(np.delete(noise[k], diagonal, axis=1) == 0.0)
+        assert np.all((np.abs(entries) >= 0.5) & (np.abs(entries) <= 2.0))
+        # signs only at odd orders, and there both signs occur
+        assert np.any(entries < 0) == bool(k % 2)
+        assert np.any(entries > 0)
+
+
+def test_draws_are_reproducible_from_a_seed():
+    first, again, other = (
+        _draw_models(ONE_LOOP, [2, 3], np.random.default_rng(seed), 50) for seed in (5, 5, 6)
+    )
+    assert np.array_equal(first[0], again[0]) and not np.array_equal(first[0], other[0])
+    for k in (2, 3):
+        assert np.array_equal(first[1][k], again[1][k])
+    report = generic_identifiability_check(ONE_LOOP, 3, n_trials=20, seed=5)
+    assert report == generic_identifiability_check(ONE_LOOP, 3, n_trials=20, seed=5)
+
+
+def test_random_sparse_model_accepts_mt19937_and_random_state():
     for rng in (np.random.Generator(np.random.MT19937(0)), np.random.RandomState(0)):
-        name = r"PCG64, PCG64DXSM, Philox, SFC64, got (MT19937|RandomState)"
-        with pytest.raises(ValueError, match=name):
-            random_sparse_model(TWO_CHAIN, [2, 3], rng)
-    model = random_sparse_model(TWO_CHAIN, [2, 3], np.random.Generator(np.random.SFC64(0)))
-    assert model.orders == [2, 3]
+        model = random_sparse_model(ONE_LOOP, [2, 3], rng)
+        assert model.orders == [2, 3] and is_stable(model.drift)
+        drifts, noise = _draw_models(ONE_LOOP, [2, 3], rng, 20)
+        assert drifts.shape == (20, 3, 3) and np.all(is_stable(drifts))
 
 
 def test_exhausted_redraws_leave_generator_as_the_loop():
@@ -432,7 +489,7 @@ def test_exhausted_redraws_leave_generator_as_the_loop():
     ours.integers(0, 2, 1)
     theirs.integers(0, 2, 1)
     with pytest.raises(RuntimeError, match="found no stable drift"):
-        _draw_models(graph, [3], ours, 3)
+        _draw_models(graph, [3], ours, 1)
     with pytest.raises(RuntimeError, match="found no stable drift"):
         sparse_model_loop(graph, [3], theirs)
     assert generator_state(ours) == generator_state(theirs)
@@ -457,7 +514,7 @@ def test_draws_refuse_graphs_without_stable_drifts(edges, named):
     assert generator_state(rng) == before  # refused before any draw
 
 
-def test_generic_check_tests_stability_once(monkeypatch):
+def counting_stability_calls(monkeypatch):
     calls = []
 
     def counting(M):
@@ -465,11 +522,28 @@ def test_generic_check_tests_stability_once(monkeypatch):
         return is_stable(M)
 
     monkeypatch.setattr(coefficients, "is_stable", counting)
+    return calls
+
+
+def test_generic_check_tests_stability_once(monkeypatch):
+    calls = counting_stability_calls(monkeypatch)
     report = generic_identifiability_check(chain(4), 3, n_trials=100, seed=8)
+    # every chain drift is stable: the 100 trials' drifts in one call
+    assert calls == [(100, 4, 4)]
     assert report["ranks"] == generic_ranks_loop(chain(4), 3, 100, 8)
-    # every chain drift is stable: one window, the 100 trials plus the first
-    # trial's further candidates
-    assert calls == [(100 + coefficients._HEAD_CANDIDATES - 1, 4, 4)]
+
+
+def test_redraw_cap_is_a_count_of_stacked_stability_calls(monkeypatch):
+    # no drift on this graph is stable, so all 100 trials redraw together
+    # until each has had STABLE_DRAW_TRIES draws
+    graph = DirectedGraph.from_edge_list(3, ["1->1", "1->2", "2->3", "3->1"])
+    calls = counting_stability_calls(monkeypatch)
+    tries = coefficients.STABLE_DRAW_TRIES
+    with pytest.raises(
+        RuntimeError, match=f"found no stable drift for this sparsity pattern in {tries} draws"
+    ):
+        generic_identifiability_check(graph, 3, n_trials=100, seed=0)
+    assert calls == [(100, 3, 3)] * tries
 
 
 def test_stacked_operator_and_rank_match_single():
