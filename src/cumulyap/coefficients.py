@@ -282,6 +282,22 @@ def _trial_groups(n_trials: int, d: int, k: int) -> list[slice]:
     return [slice(start, start + size) for start in range(0, n_trials, size)]
 
 
+def _trial_ranks(graph: DirectedGraph, orders, n_trials: int, seed, system) -> list[int]:
+    """Ranks of n_trials random models' systems, one trial at a time.
+
+    All trials are drawn in one _draw_models call, then solved and ranked as
+    stacks in the groups of _trial_groups for the top order; system maps a
+    group's solved cumulants, order -> unique entries (trials, N_k), to its
+    stack of matrices.
+    """
+    drifts, noise = _draw_models(graph, orders, np.random.default_rng(seed), n_trials)
+    ranks = []
+    for group in _trial_groups(n_trials, graph.d, max(orders)):
+        kappas = {k: _solve_stacked(drifts[group], noise[k][group], k) for k in orders}
+        ranks += numerical_rank(system(kappas)).tolist()
+    return ranks
+
+
 def _noise_order(r) -> int:
     """The higher cumulant order r of a check: an integer (numpy's too) r >= 3."""
     r = _integer(r, "noise order r")
@@ -302,9 +318,9 @@ def generic_identifiability_check(
     for orders {2, r}, r >= 3, with all d*d columns, and records its rank.
     The rank can never exceed d*d minus the number of weakly connected
     components; hitting that bound on most of n_trials >= 1 draws certifies
-    the generic rank. All trials are drawn in one _draw_models call, then
-    solved, assembled and ranked as stacks, in groups of _trial_groups; the
-    ranks are those of one trial at a time, whatever the grouping.
+    the generic rank. The trials are drawn, solved and ranked as stacks by
+    _trial_ranks; the ranks are those of one trial at a time, whatever the
+    grouping.
     """
     r = _noise_order(r)
     n_trials = _integer(n_trials, "trial count")
@@ -313,11 +329,9 @@ def generic_identifiability_check(
     orders = [2, r]
     d = graph.d
     expected = d * d - len(connected_components(graph))
-    drifts, noise = _draw_models(graph, orders, np.random.default_rng(seed), n_trials)
-    ranks = []
-    for group in _trial_groups(n_trials, d, r):
-        kappas = {k: _solve_stacked(drifts[group], noise[k][group], k) for k in orders}
-        ranks += numerical_rank(_noise_free_system(kappas, d)).tolist()
+    ranks = _trial_ranks(
+        graph, orders, n_trials, seed, lambda kappas: _noise_free_system(kappas, d)
+    )
     achieved = sum(rank == expected for rank in ranks)
     return {
         "d": d,
@@ -372,11 +386,10 @@ def known_noise_identifiability_check(
         and abs(predicted) > 0.0
     )
 
-    drifts, noise = _draw_models(graph, [r], np.random.default_rng(seed), n_trials)
-    ranks = []
-    for group in _trial_groups(n_trials, d, r):
-        kappas = _solve_stacked(drifts[group], noise[r][group], r)
-        ranks += numerical_rank(_coefficient_rows(kappas, d, r, rows, edges)).tolist()
+    ranks = _trial_ranks(
+        graph, [r], n_trials, seed,
+        lambda kappas: _coefficient_rows(kappas[r], d, r, rows, edges),
+    )
     achieved = sum(rank == len(edges) for rank in ranks)
     return {
         "d": d,

@@ -1,17 +1,19 @@
-"""Multivariate cumulants: the partition table, empirical estimates, and the
-asymptotic covariance of the stacked cumulant estimator.
+"""Multivariate cumulants: the moment-cumulant recursion, empirical
+estimates, and the asymptotic covariance of the stacked cumulant estimator.
 
 Cumulant tensors are stored as SymmetricTensor objects keyed by order. The
 stacked coordinate vector concatenates the unique entries order by order
 (increasing order, lexicographic indices within an order); every consumer of
 that vector uses stacked_labels for the coordinate meaning.
 
-A joint cumulant is the sum over set partitions of its index of signed
-products of raw moments, and a raw moment is the same sum of cumulants
-without the signs. partition_table(d, k) holds those sums for every order-k
-index once, as integer arrays of stacked positions; cumulants from moments,
-moments from cumulants and the Jacobian of the cumulants are each a few
-vectorised operations over it.
+Split an index I into the block holding its first slot and the rest: the raw
+moment is m(I) = sum over subsets S of the other slots of
+kappa(first slot and S) * m(the remaining slots), with m of the empty index
+1. The term with every slot in the block is kappa(I), so the same line gives
+cumulants from moments or moments from cumulants, order by order, and
+differentiated it gives the Jacobian of the cumulants. _split_table(d, k)
+holds the 2^(k-1) - 1 other terms of every order-k index as stacked
+positions; each of the three is a few vectorised operations over it.
 
 On the data side, the estimators need only the means of the monomial
 features x_v = prod_i x_{v_i} and, for the delta method, their covariance.
@@ -27,16 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from math import comb, factorial
-from typing import NamedTuple
+from math import comb
 
 import numpy as np
 
-from .tensors import SymmetricTensor, _integer, unique_indices
+from .tensors import SymmetricTensor, _index_rank, _integer, unique_indices
 
 __all__ = [
-    "set_partitions",
-    "partition_table",
     "empirical_cumulants",
     "stacked_labels",
     "stack_unique",
@@ -51,113 +50,57 @@ __all__ = [
 BLOCK_ROWS = 4096
 
 
-@lru_cache(maxsize=None)
-def set_partitions(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All partitions of {0..k-1} as tuples of sorted blocks.
-
-    Blocks are sorted tuples ordered by their smallest element. The number of
-    partitions is the Bell number (1, 1, 2, 5, 15, 52, 203, ...).
-    """
-    if k == 0:
-        return ((),)
-    out = []
-    for smaller in set_partitions(k - 1):
-        last = k - 1
-        for i in range(len(smaller)):
-            grown = smaller[:i] + (smaller[i] + (last,),) + smaller[i + 1:]
-            out.append(grown)
-        out.append(smaller + ((last,),))
-    return tuple(out)
-
-
-class PartitionGroup(NamedTuple):
-    """The terms of one block count b in a partition table.
-
-    Term t contributes weight[t] * sign * prod_s x[blocks[t, s]] to entry
-    row[t]; sign = (-1)^(b-1) (b-1)! is the cumulant sign of b blocks.
-    """
-
-    row: np.ndarray
-    weight: np.ndarray
-    sign: int
-    blocks: np.ndarray
+def _start(d: int, k: int) -> int:
+    """Stacked position of the first order-k entry: the number of entries of
+    orders 1..k-1, comb(d + k - 1, k - 1) - 1."""
+    return comb(d + k - 1, k - 1) - 1
 
 
 @lru_cache(maxsize=None)
-def partition_table(d: int, k: int) -> tuple[PartitionGroup, ...]:
-    """Every set partition of every order-k canonical index, as integer arrays.
+def _split_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(heads, tails): the splits of every order-k canonical index, as
+    stacked positions of shape (N_k, 2^(k-1) - 1).
 
-    One group per block count b = 1..k. A term's `blocks` are the stacked
-    positions of its blocks' sub-indices in the order-1..k vector (orders in
-    turn, unique_indices order within an order; the positions of
-    stacked_labels(d, range(1, k + 1)) and of the moment features), sorted
-    ascending; terms repeated within one row are stored once with their
-    count in `weight`. Read-only, since every caller shares it.
+    Column c is the subset S of slots 1..k-1 whose members s are the set
+    bits s - 1 of c, so the columns are every proper subset (the full one
+    would leave no tail): heads holds the position of the index at slot 0
+    and S, tails its position at the other slots, each in the order-1..k-1
+    stacked vector. Read-only, since every caller shares it.
     """
     index = np.array(unique_indices(d, k))
-    positions = {}
-
-    def position(block: tuple[int, ...]) -> np.ndarray:
-        # a block of a nondecreasing index is itself nondecreasing, so its
-        # base-d code ranks it among unique_indices(d, len(block)), which
-        # come after the comb(d + j - 1, j - 1) - 1 entries of lower order
-        if block not in positions:
-            j = len(block)
-            place = d ** np.arange(j - 1, -1, -1)
-            codes = np.array(unique_indices(d, j)) @ place
-            rank = np.searchsorted(codes, index[:, block] @ place)
-            positions[block] = comb(d + j - 1, j - 1) - 1 + rank
-        return positions[block]
-
-    by_count: dict[int, list] = {}
-    for partition in set_partitions(k):
-        by_count.setdefault(len(partition), []).append(
-            [position(block) for block in partition]
-        )
-    groups = []
-    for b, parts in sorted(by_count.items()):
-        terms = np.sort(np.array(parts).transpose(2, 0, 1), axis=2)
-        # blocks of b-block partitions have order <= k - b + 1, so their
-        # positions lie below `radix` and the key ranks a term exactly
-        radix = comb(d + k - b + 1, k - b + 1) - 1
-        key = terms @ radix ** np.arange(b - 1, -1, -1)
-        order = np.argsort(key, axis=1)
-        key = np.take_along_axis(key, order, axis=1)
-        first = np.ones(key.shape, dtype=bool)
-        first[:, 1:] = key[:, 1:] != key[:, :-1]
-        starts = np.flatnonzero(first)
-        # flat positions in `terms` of each row's first copy of a term
-        picked = (order + np.arange(len(index))[:, None] * len(parts)).ravel()[starts]
-        group = PartitionGroup(
-            row=starts // len(parts),
-            weight=np.diff(starts, append=key.size),
-            sign=(-1) ** (b - 1) * factorial(b - 1),
-            blocks=terms.reshape(-1, b)[picked],
-        )
-        for array in (group.row, group.weight, group.blocks):
-            array.flags.writeable = False
-        groups.append(group)
-    return tuple(groups)
+    heads = np.empty((len(index), 2 ** (k - 1) - 1), dtype=np.intp)
+    tails = np.empty_like(heads)
+    for c in range(heads.shape[1]):
+        head = [0] + [s for s in range(1, k) if c >> (s - 1) & 1]
+        tail = [s for s in range(1, k) if s not in head]
+        heads[:, c] = _start(d, len(head)) + _index_rank(d, index[:, head])
+        tails[:, c] = _start(d, len(tail)) + _index_rank(d, index[:, tail])
+    heads.flags.writeable = False
+    tails.flags.writeable = False
+    return heads, tails
 
 
-def _partition_sum(stacked: np.ndarray, d: int, k: int, signed: bool) -> np.ndarray:
-    """Order-k cumulants (signed) or moments (unsigned) from the other kind.
+def _convert(values: np.ndarray, d: int, top: int, to_cumulants: bool) -> np.ndarray:
+    """Stacked order-1..top cumulants from raw moments, or the reverse.
 
-    `stacked` holds the other kind over orders 1..k or more, in stacked order.
+    `values` holds the other kind over orders 1..top or more. Order by order,
+    m(I) = kappa(I) + sum over the splits of I of kappa[heads] * m[tails]
+    (_split_table), whose terms read only lower orders.
     """
-    size = len(unique_indices(d, k))
-    out = np.zeros(size)
-    for group in partition_table(d, k):
-        coef = group.sign * group.weight if signed else group.weight
-        out += np.bincount(
-            group.row, coef * stacked[group.blocks].prod(axis=1), minlength=size
-        )
+    out = np.array(values[: _start(d, top + 1)], dtype=float)
+    kappa, moments = (out, values) if to_cumulants else (values, out)
+    sign = -1.0 if to_cumulants else 1.0
+    for k in range(2, top + 1):
+        heads, tails = _split_table(d, k)
+        terms = np.sum(kappa[heads] * moments[tails], axis=1)
+        out[_start(d, k) : _start(d, k + 1)] += sign * terms
     return out
 
 
 def _cumulants_at(means: np.ndarray, d: int, orders) -> dict[int, SymmetricTensor]:
     """Cumulant tensors of `orders` from stacked order-1..max raw moments."""
-    return {k: SymmetricTensor(d, k, _partition_sum(means, d, k, True)) for k in orders}
+    kappa = _convert(means, d, max(orders), to_cumulants=True)
+    return {k: SymmetricTensor(d, k, kappa[_start(d, k) : _start(d, k + 1)]) for k in orders}
 
 
 @lru_cache(maxsize=None)
@@ -285,18 +228,21 @@ class OmegaEstimate:
 
 
 def _cumulant_jacobian(means: np.ndarray, d: int, orders) -> np.ndarray:
-    """Jacobian of stacked cumulants w.r.t. the stacked monomial moments."""
-    J = np.zeros((len(stacked_labels(d, orders)), means.size))
-    offset = 0
-    for k in orders:
-        for group in partition_table(d, k):
-            values = means[group.blocks]
-            coef = group.sign * group.weight
-            for s in range(values.shape[1]):
-                rest = coef * np.delete(values, s, axis=1).prod(axis=1)
-                np.add.at(J, (offset + group.row, group.blocks[:, s]), rest)
-        offset += len(unique_indices(d, k))
-    return J
+    """Jacobian of stacked cumulants w.r.t. the stacked monomial moments.
+
+    The derivative of kappa(I) = m(I) - sum kappa[heads] * m[tails] (see
+    _convert), taken order by order over every order up to the largest.
+    """
+    top = max(orders)
+    kappa = _convert(means, d, top, to_cumulants=True)
+    J = np.identity(means.size)
+    for k in range(2, top + 1):
+        heads, tails = _split_table(d, k)
+        block = J[_start(d, k) : _start(d, k + 1)]
+        block -= np.einsum("ns,nsp->np", means[tails], J[heads])
+        np.add.at(block, (np.arange(len(block))[:, None], tails), -kappa[heads])
+    rows = [np.arange(_start(d, k), _start(d, k + 1)) for k in orders]
+    return J[np.concatenate(rows)]
 
 
 def estimate_omega(samples: np.ndarray, orders) -> OmegaEstimate:
@@ -335,8 +281,7 @@ def population_omega(
         raise ValueError(f"need population cumulants of orders {missing}")
     d = cumulants[orders[0]].d
     every = range(1, 2 * top + 1)
-    kappa = stack_unique(cumulants, every)
-    moments = np.concatenate([_partition_sum(kappa, d, j, False) for j in every])
+    moments = _convert(stack_unique(cumulants, every), d, 2 * top, to_cumulants=False)
     position = {idx: n for n, (_, idx) in enumerate(stacked_labels(d, every))}
     features = [idx for _, idx in stacked_labels(d, range(1, top + 1))]
     pairs = np.array(

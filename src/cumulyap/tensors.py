@@ -54,6 +54,21 @@ def _position_lookup(d: int, k: int) -> dict[tuple[int, ...], int]:
     return {idx: p for p, idx in enumerate(unique_indices(d, k))}
 
 
+def _index_rank(d: int, indices: np.ndarray) -> np.ndarray:
+    """Canonical numbers of nondecreasing indices, the rows of an integer
+    array (..., j), among unique_indices(d, j).
+
+    A nondecreasing index's base-d code ranks it: the codes of
+    unique_indices(d, j) increase, so searchsorted finds each one. Codes
+    past int64 are Python integers.
+    """
+    j = indices.shape[-1]
+    dtype = np.int64 if d**j <= np.iinfo(np.int64).max else object
+    place = np.array([d**p for p in range(j - 1, -1, -1)], dtype=dtype)
+    codes = np.array(unique_indices(d, j)) @ place
+    return np.searchsorted(codes, indices @ place)
+
+
 @lru_cache(maxsize=None)
 def slot_replacements(d: int, k: int) -> np.ndarray:
     """Every way to replace one slot of a canonical index, as an integer table.
@@ -65,15 +80,22 @@ def slot_replacements(d: int, k: int) -> np.ndarray:
     cumulant operator and the drift coefficient matrix are both scatters
     over this table. Read-only, since every caller shares it.
     """
-    pos = _position_lookup(d, k)
-    table = np.array(
+    index = np.array(unique_indices(d, k))
+    n = len(index)
+    col = np.empty((n, k, d), dtype=np.intp)
+    for slot in range(k):
+        # the other slots, each followed by one replacement j, sorted
+        moved = np.empty((n, d, k), dtype=index.dtype)
+        moved[:, :, :-1] = np.delete(index, slot, axis=1)[:, None]
+        moved[:, :, -1] = np.arange(d)
+        col[:, slot] = _index_rank(d, np.sort(moved, axis=2))
+    table = np.column_stack(
         [
-            (row, a, j, pos[tuple(sorted(idx[:slot] + idx[slot + 1:] + (j,)))])
-            for row, idx in enumerate(unique_indices(d, k))
-            for slot, a in enumerate(idx)
-            for j in range(d)
-        ],
-        dtype=np.intp,
+            np.repeat(np.arange(n), k * d),
+            np.repeat(index.ravel(), d),
+            np.tile(np.arange(d), n * k),
+            col.ravel(),
+        ]
     )
     table.flags.writeable = False
     return table

@@ -4,13 +4,15 @@ Nothing here is used by the package itself: the dense Kronecker-sum form of
 the cumulant operator, the first-index-fastest vectorisation it acts on, a
 dense expansion of a symmetric tensor, a quadrature of the
 matrix-exponential integral form of the solution, the loop versions of
-the two unique-entry operators, the steady-state sampler's former
+the two unique-entry operators and of the slot-replacement table behind
+them, the steady-state sampler's former
 complex-arithmetic kernel and its former single-pass real kernel, together
 with a replay of its random draws, and
 the witness determinant's former route through exact rational evaluations
 on an integer grid and interpolation, one trek polynomial summed by brute
-force over path-length tuples, the per-index set-partition loops of
-the cumulant layer (moments to cumulants and back, the cumulant Jacobian and
+force over path-length tuples, the set partitions of {0..k-1} with the
+per-index loops over them that the cumulant layer's subset recursion is
+checked against (moments to cumulants and back, the cumulant Jacobian and
 the population covariance built on them), the full (n, features) monomial
 feature matrix with its means and np.cov covariance, a nonparametric
 bootstrap of that covariance, the n-mode product of a dense tensor with
@@ -38,12 +40,7 @@ from cumulyap.coefficients import (
     drift_coefficient_matrix,
     numerical_rank,
 )
-from cumulyap.cumulants import (
-    empirical_cumulants,
-    set_partitions,
-    stack_unique,
-    stacked_labels,
-)
+from cumulyap.cumulants import empirical_cumulants, stack_unique, stacked_labels
 from cumulyap.estimation import _fit
 from cumulyap.lyapunov import (
     ModelParameters,
@@ -139,6 +136,22 @@ def operator_matrix_loop(M: np.ndarray, k: int) -> np.ndarray:
                 col[slot] = j
                 B[rnum, pos[tuple(sorted(col))]] += M[idx[slot], j]
     return B
+
+
+def slot_replacements_loop(d: int, k: int) -> np.ndarray:
+    """slot_replacements as a comprehension over rows, slots and replacements,
+    each replaced index looked up in a dict."""
+    rows = unique_indices(d, k)
+    pos = {idx: n for n, idx in enumerate(rows)}
+    return np.array(
+        [
+            (row, a, j, pos[tuple(sorted(idx[:slot] + idx[slot + 1:] + (j,)))])
+            for row, idx in enumerate(rows)
+            for slot, a in enumerate(idx)
+            for j in range(d)
+        ],
+        dtype=np.intp,
+    )
 
 
 def coefficient_matrix_loop(kappa, rows, columns) -> np.ndarray:
@@ -373,6 +386,25 @@ def trek_polynomial_by_enumeration(graph, index, r) -> dict[int, Fraction]:
                 weight = Fraction(factorial(L), prod(factorial(l) for l in lengths))
                 poly[L + 1] = poly.get(L + 1, 0) + n * Fraction(r, k) ** (L + 1) * weight
     return poly
+
+
+@lru_cache(maxsize=None)
+def set_partitions(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """All partitions of {0..k-1} as tuples of sorted blocks.
+
+    Blocks are sorted tuples ordered by their smallest element. The number of
+    partitions is the Bell number (1, 1, 2, 5, 15, 52, 203, ...).
+    """
+    if k == 0:
+        return ((),)
+    out = []
+    for smaller in set_partitions(k - 1):
+        last = k - 1
+        for i in range(len(smaller)):
+            grown = smaller[:i] + (smaller[i] + (last,),) + smaller[i + 1:]
+            out.append(grown)
+        out.append(smaller + ((last,),))
+    return tuple(out)
 
 
 def cumulant_from_moments(index, moment) -> float:

@@ -16,17 +16,17 @@ from cumulyap.cumulants import (
     compound_poisson_cumulants,
     empirical_cumulants,
     estimate_omega,
-    partition_table,
     population_omega,
-    set_partitions,
     stack_unique,
     stacked_labels,
 )
 from cumulyap.cumulants import (
+    _convert,
     _cumulant_jacobian,
     _feature_moments,
-    _partition_sum,
     _prefix_table,
+    _split_table,
+    _start,
 )
 from cumulyap.sampling import (
     BetaJumps,
@@ -43,6 +43,7 @@ from oracles import (
     feature_moments_full,
     moment_from_cumulants,
     population_omega_loop,
+    set_partitions,
 )
 
 
@@ -64,28 +65,30 @@ def test_set_partitions_are_partitions():
     "d, k", [(d, k) for d in range(1, 5) for k in range(1, 7)] + [(3, 8)]
 )
 def test_partition_table_matches_loop_references(d, k):
+    # the split recursion (_convert) against the set-partition loops
     rng = np.random.default_rng(100 * d + k)
     labels = [idx for _, idx in stacked_labels(d, range(1, k + 1))]
     rows = unique_indices(d, k)
     for signed, loop in ((True, cumulant_from_moments), (False, moment_from_cumulants)):
         x = rng.uniform(-1.0, 1.0, len(labels))
         want = np.array([loop(idx, dict(zip(labels, x)).__getitem__) for idx in rows])
-        got = _partition_sum(x, d, k, signed)
+        got = _convert(x, d, k, signed)[_start(d, k):]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_partition_table_is_shared_and_read_only():
-    groups = partition_table(3, 4)
-    assert partition_table(3, 4) is groups
-    assert [g.blocks.shape[1] for g in groups] == [1, 2, 3, 4]
-    assert [g.sign for g in groups] == [1, -1, 2, -6]
-    # the weights of one row count its Bell(4) = 15 partitions
-    for row in range(len(unique_indices(3, 4))):
-        assert sum(int(g.weight[g.row == row].sum()) for g in groups) == 15
-    for group in groups:
-        for array in (group.row, group.weight, group.blocks):
-            with pytest.raises(ValueError):
-                array[0] = 0
+def test_split_table_is_shared_and_read_only():
+    heads, tails = _split_table(3, 4)
+    assert _split_table(3, 4)[0] is heads and _split_table(3, 4)[1] is tails
+    assert heads.shape == tails.shape == (len(unique_indices(3, 4)), 2**3 - 1)
+    # the head and the tail of one split share out the index's four slots
+    labels = [idx for _, idx in stacked_labels(3, range(1, 4))]
+    for row, idx in enumerate(unique_indices(3, 4)):
+        for head, tail in zip(heads[row], tails[row]):
+            assert labels[head][0] == idx[0]
+            assert sorted(labels[head] + labels[tail]) == list(idx)
+    for array in (heads, tails):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
 
 
 def test_cumulants_of_normal_from_scipy_moments():
@@ -209,13 +212,16 @@ def test_cumulant_orders_must_be_integers():
     assert list(compound_poisson_cumulants([1.0], lambda k: 1.0, [np.int32(2)])) == [2]
 
 
-def test_cumulant_jacobian_matches_finite_differences():
+@pytest.mark.parametrize(
+    "d, orders", [(2, (2, 3)), (3, (2, 3, 4))], ids=["d2-o23", "d3-o234"]
+)
+def test_cumulant_jacobian_matches_finite_differences(d, orders):
     rng = np.random.default_rng(12)
-    d, k = 2, 3
+    k = max(orders)
     feat_labels = [idx for j in range(1, k + 1) for idx in unique_indices(d, j)]
     means = {idx: float(v) for idx, v in zip(feat_labels, rng.uniform(0.5, 1.5, len(feat_labels)))}
-    out_labels = stacked_labels(d, [2, 3])
-    J = _cumulant_jacobian(np.array([means[f] for f in feat_labels]), d, [2, 3])
+    out_labels = stacked_labels(d, orders)
+    J = _cumulant_jacobian(np.array([means[f] for f in feat_labels]), d, orders)
     eps = 1e-6
     for col, feat in enumerate(feat_labels):
         up = dict(means)

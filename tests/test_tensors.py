@@ -12,7 +12,7 @@ from cumulyap.tensors import (
     slot_replacements,
     unique_indices,
 )
-from oracles import kron_sum_matrix, n_mode_product, vec
+from oracles import kron_sum_matrix, n_mode_product, slot_replacements_loop, vec
 
 
 def test_unique_indices_enumeration():
@@ -38,18 +38,13 @@ def test_canonical_index_is_sorted_and_permutation_invariant(index):
 
 
 def test_slot_replacements_table():
-    for d, k in [(1, 2), (2, 3), (3, 4), (5, 2)]:
+    # at (2, 64) the base-d codes of the replaced indices pass int64
+    for d, k in [(1, 1), (1, 2), (2, 3), (3, 3), (3, 4), (5, 2), (4, 6), (2, 9), (2, 64)]:
         table = slot_replacements(d, k)
-        rows = unique_indices(d, k)
-        assert table.shape == (len(rows) * k * d, 4)
+        assert table.shape == (len(unique_indices(d, k)) * k * d, 4)
+        assert table.dtype == np.intp
         assert not table.flags.writeable
-        expected = [
-            (p, a, j, rows.index(tuple(sorted(idx[:slot] + (j,) + idx[slot + 1:]))))
-            for p, idx in enumerate(rows)
-            for slot, a in enumerate(idx)
-            for j in range(d)
-        ]
-        assert table.tolist() == [list(t) for t in expected]
+        assert np.array_equal(table, slot_replacements_loop(d, k))
 
 
 def test_n_mode_product_matches_einsum():
