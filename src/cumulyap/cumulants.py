@@ -68,13 +68,17 @@ def _split_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     stacked vector. Read-only, since every caller shares it.
     """
     index = np.array(unique_indices(d, k))
-    heads = np.empty((len(index), 2 ** (k - 1) - 1), dtype=np.intp)
+    columns = range(2 ** (k - 1) - 1)
+    head_slots = [[0] + [s for s in range(1, k) if c >> (s - 1) & 1] for c in columns]
+    heads = np.empty((len(index), len(columns)), dtype=np.intp)
     tails = np.empty_like(heads)
-    for c in range(heads.shape[1]):
-        head = [0] + [s for s in range(1, k) if c >> (s - 1) & 1]
-        tail = [s for s in range(1, k) if s not in head]
-        heads[:, c] = _start(d, len(head)) + _index_rank(d, index[:, head])
-        tails[:, c] = _start(d, len(tail)) + _index_rank(d, index[:, tail])
+    # the columns whose heads have one size are ranked in one call per side
+    for size in range(1, k):
+        group = [c for c in columns if len(head_slots[c]) == size]
+        head = np.array([head_slots[c] for c in group])
+        tail = np.array([[s for s in range(k) if s not in head_slots[c]] for c in group])
+        heads[:, group] = _start(d, size) + _index_rank(d, index[:, head])
+        tails[:, group] = _start(d, k - size) + _index_rank(d, index[:, tail])
     heads.flags.writeable = False
     tails.flags.writeable = False
     return heads, tails
@@ -282,18 +286,35 @@ def population_omega(
     d = cumulants[orders[0]].d
     every = range(1, 2 * top + 1)
     moments = _convert(stack_unique(cumulants, every), d, 2 * top, to_cumulants=False)
-    position = {idx: n for n, (_, idx) in enumerate(stacked_labels(d, every))}
-    features = [idx for _, idx in stacked_labels(d, range(1, top + 1))]
-    pairs = np.array(
-        [[position[tuple(sorted(v + w))] for w in features] for v in features]
-    )
-    means = moments[: len(features)]
+    pairs = _pair_table(d, top)
+    means = moments[: len(pairs)]
     S = moments[pairs] - np.outer(means, means)
     J = _cumulant_jacobian(means, d, orders)
     return OmegaEstimate(
         matrix=J @ S @ J.T,
         cumulants={k: cumulants[k] for k in orders},
     )
+
+
+def _pair_table(d: int, top: int) -> np.ndarray:
+    """Stacked position of the product of every two monomial features of
+    orders 1..top, as a square table in stacked feature order.
+
+    The product of the features of indices v and w is the feature of their
+    sorted concatenation, so each block of two orders is one _index_rank call
+    over the sorted concatenations of every pair.
+    """
+    index = [np.array(unique_indices(d, j)) for j in range(1, top + 1)]
+
+    def block(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        joined = np.concatenate(
+            [np.repeat(v, len(w), axis=0), np.tile(w, (len(v), 1))], axis=1
+        )
+        joined.sort(axis=1)
+        rank = _start(d, joined.shape[1]) + _index_rank(d, joined)
+        return rank.reshape(len(v), len(w))
+
+    return np.block([[block(v, w) for w in index] for v in index])
 
 
 def beta_raw_moment(mu: float, nu: float, k: int) -> float:

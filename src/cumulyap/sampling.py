@@ -230,7 +230,10 @@ def sample_steady_state(M: np.ndarray, levy: LevySpec, n: int, seed=None) -> np.
     (see BLOCK_JUMPS), keeping each draw's jumps together and in order. The
     times, coordinates and sizes come from three positions of the chunk's
     stream (`PCG64.advance`): where one whole-chunk `uniform`, `choice` and
-    jump-law call would start. A block draws only its own jumps, so with
+    jump-law call would start. A jump's coordinate is the number of interior
+    edges of the rates' cdf at or below its uniform (`_coordinates`), the
+    coordinate a binary search of the cdf gives, counted by comparisons that
+    release the GIL. A block draws only its own jumps, so with
     the jump law's split contract (see LevySpec) the blocks change no bit of
     the result. The chunks run on the calling thread plus min(cores, chunks)
     - 1 helper threads, started for this call and joined before it returns,
@@ -292,7 +295,7 @@ def sample_steady_state(M: np.ndarray, levy: LevySpec, n: int, seed=None) -> np.
             hi = max(lo + 1, int(np.searchsorted(ends, first + BLOCK_JUMPS, "right")))
             k = int(ends[hi - 1]) - first
             t = rng.uniform(0.0, horizon, k)
-            c = coord_cdf.searchsorted(coord_rng.random(k), "right")
+            c = _coordinates(coord_cdf, coord_rng.random(k))
             s = levy.jumps.sample(size_rng, k)
             real_terms = np.exp(np.outer(real_rates, t)) * real_left[:, c] * s
             pair_terms = np.exp(np.outer(pair_rates, t)) * pair_left[:, c] * s
@@ -306,6 +309,20 @@ def sample_steady_state(M: np.ndarray, levy: LevySpec, n: int, seed=None) -> np.
 
     _map_on_cores(draw_chunk, -(-n // CHUNK_DRAWS))
     return out
+
+
+def _coordinates(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """cdf.searchsorted(u, "right") for a nondecreasing cdf ending at 1 and
+    every u below 1: the count of interior edges at or below each u.
+
+    The last edge, 1, is above every u, so counting the interior edges gives
+    the same integers, repeated edges of zero-rate coordinates included. The
+    count is a comparison and an add per edge, ufuncs that release the GIL.
+    """
+    c = np.zeros(u.shape, dtype=np.intp)
+    for edge in cdf[:-1]:
+        c += u >= edge
+    return c
 
 
 def _advanced(rng: np.random.Generator, words: int) -> np.random.Generator:
@@ -326,12 +343,14 @@ def _available_cores() -> int:
 def _map_on_cores(task, count: int) -> list:
     """[task(i) for i in range(count)], in index order, on the available cores.
 
-    The calling thread works through the indices together with
-    min(cores, count) - 1 helper threads, created here and joined before
-    return; each thread takes the next index from one shared iterator until
-    none are left, and stores its result at that index. One item, or one
-    core, starts no thread. An exception raised by any task is raised here,
-    after every thread has stopped.
+    The sampler's chunks run through here; the study's replications run in
+    worker processes instead (see run_study), where these threads would hold
+    one GIL between them. The calling thread works through the indices
+    together with min(cores, count) - 1 helper threads, created here and
+    joined before return; each thread takes the next index from one shared
+    iterator until none are left, and stores its result at that index. One
+    item, or one core, starts no thread. An exception raised by any task is
+    raised here, after every thread has stopped.
     """
     results = [None] * count
     indices = iter(range(count))

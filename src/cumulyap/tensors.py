@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import comb
 from numbers import Integral
 
 import numpy as np
@@ -58,15 +59,24 @@ def _index_rank(d: int, indices: np.ndarray) -> np.ndarray:
     """Canonical numbers of nondecreasing indices, the rows of an integer
     array (..., j), among unique_indices(d, j).
 
-    A nondecreasing index's base-d code ranks it: the codes of
-    unique_indices(d, j) increase, so searchsorted finds each one. Codes
-    past int64 are Python integers.
+    The indices before (i_0, ..., i_{j-1}) are, for each slot p, those that
+    agree with it before p and hold a smaller value v >= i_{p-1} at p:
+    comb(d - v + r - 1, r) of them for each v, with r = j - p - 1 slots left
+    to fill. With below[r, x] the sum of those counts over v < x, the rank is
+    the sum over p of below[r, i_p] - below[r, i_{p-1}] (the second term
+    dropped at p = 0): two lookups and adds per slot, all within intp.
     """
     j = indices.shape[-1]
-    dtype = np.int64 if d**j <= np.iinfo(np.int64).max else object
-    place = np.array([d**p for p in range(j - 1, -1, -1)], dtype=dtype)
-    codes = np.array(unique_indices(d, j)) @ place
-    return np.searchsorted(codes, indices @ place)
+    below = np.zeros((j, d + 1), dtype=np.intp)
+    for r in range(j):
+        below[r, 1:] = np.cumsum([comb(d - v + r - 1, r) for v in range(d)])
+    rank = np.zeros(indices.shape[:-1], dtype=np.intp)
+    for p in range(j):
+        left = below[j - p - 1]
+        rank += left[indices[..., p]]
+        if p:
+            rank -= left[indices[..., p - 1]]
+    return rank
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,9 @@ on an integer grid and interpolation, one trek polynomial summed by brute
 force over path-length tuples, the set partitions of {0..k-1} with the
 per-index loops over them that the cumulant layer's subset recursion is
 checked against (moments to cumulants and back, the cumulant Jacobian and
-the population covariance built on them), the full (n, features) monomial
+the population covariance built on them), the split table of that recursion
+ranked column by column through base-d codes, the table of feature-pair
+products looked up pair by pair, the full (n, features) monomial
 feature matrix with its means and np.cov covariance, a nonparametric
 bootstrap of that covariance, the n-mode product of a dense tensor with
 a matrix, the identifiability checks' former trial-by-trial loops on the
@@ -40,7 +42,7 @@ from cumulyap.coefficients import (
     drift_coefficient_matrix,
     numerical_rank,
 )
-from cumulyap.cumulants import empirical_cumulants, stack_unique, stacked_labels
+from cumulyap.cumulants import _start, empirical_cumulants, stack_unique, stacked_labels
 from cumulyap.estimation import _fit
 from cumulyap.lyapunov import (
     ModelParameters,
@@ -453,6 +455,40 @@ def cumulant_jacobian_loop(labels_out, labels_in, means: dict) -> np.ndarray:
                         rest *= val
                 J[row, pos[key]] += rest
     return J
+
+
+def index_rank_by_code(d: int, indices: np.ndarray) -> np.ndarray:
+    """tensors._index_rank by base-d codes: those of unique_indices(d, j)
+    increase, so searchsorted finds each index's code among them. Codes
+    past int64 are Python integers."""
+    j = indices.shape[-1]
+    dtype = np.int64 if d**j <= np.iinfo(np.int64).max else object
+    place = np.array([d**p for p in range(j - 1, -1, -1)], dtype=dtype)
+    codes = np.array(unique_indices(d, j)) @ place
+    return np.searchsorted(codes, indices @ place)
+
+
+def split_table_loop(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """cumulants._split_table(d, k) ranked column by column, by codes."""
+    index = np.array(unique_indices(d, k))
+    heads = np.empty((len(index), 2 ** (k - 1) - 1), dtype=np.intp)
+    tails = np.empty_like(heads)
+    for c in range(heads.shape[1]):
+        head = [0] + [s for s in range(1, k) if c >> (s - 1) & 1]
+        tail = [s for s in range(1, k) if s not in head]
+        heads[:, c] = _start(d, len(head)) + index_rank_by_code(d, index[:, head])
+        tails[:, c] = _start(d, len(tail)) + index_rank_by_code(d, index[:, tail])
+    return heads, tails
+
+
+def pair_table_loop(d: int, top: int) -> np.ndarray:
+    """cumulants._pair_table(d, top) with one dict lookup per feature pair."""
+    every = range(1, 2 * top + 1)
+    position = {idx: n for n, (_, idx) in enumerate(stacked_labels(d, every))}
+    features = [idx for _, idx in stacked_labels(d, range(1, top + 1))]
+    return np.array(
+        [[position[tuple(sorted(v + w))] for w in features] for v in features]
+    )
 
 
 def population_omega_loop(cumulants, orders) -> np.ndarray:

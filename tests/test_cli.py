@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -428,27 +429,65 @@ def serial_study_rows(config):
 
 
 @pytest.mark.parametrize("cores", [1, 3])
-def test_run_study_threads_match_serial_loop(cores, monkeypatch):
-    # 1 worker is the serial path; 3 workers with a thread switch every
-    # microsecond interleave far more often than the workers of a real run
+def test_run_study_workers_match_serial_loop(cores, monkeypatch):
+    # 1 core runs the replications in this process; 3 cores run them in three
+    # worker processes, whatever this machine has
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cores)))
     config = StudyConfig(sample_sizes=(300, 500), n_replications=7, orders=(2, 3), seed=5)
-    log_threads = []
+    log_threads, log_children = [], []
 
     def log(msg):
         log_threads.append(threading.current_thread())
+        log_children.append(len(multiprocessing.active_children()))
 
     threads_before = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        result = run_study(config, log=log)
-    finally:
-        sys.setswitchinterval(interval)
+    result = run_study(config, log=log)
+    assert multiprocessing.active_children() == []
     assert threading.active_count() == threads_before
     assert log_threads == [threading.main_thread()] * 3
+    # the first line comes before the pool starts, the others while it runs
+    assert log_children == ([0, 0, 0] if cores == 1 else [0, 3, 3])
     rows = [{k: v for k, v in row.items() if k != "seconds"} for row in result.rows]
     assert rows == serial_study_rows(config)
+
+
+SPAWN_STUDY_SCRIPT = """
+import json, multiprocessing, os
+multiprocessing.set_start_method("spawn")
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+from cumulyap import StudyConfig, run_study
+config = StudyConfig(sample_sizes=(300, 500), n_replications=7, orders=(2, 3), seed=5)
+rows = [{k: v for k, v in row.items() if k != "seconds"} for row in run_study(config).rows]
+print(json.dumps(rows))
+"""
+
+
+def test_run_study_workers_started_by_spawn():
+    # spawned workers import cumulyap afresh and receive every argument
+    # pickled, so the study does not rely on forked memory
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", SPAWN_STUDY_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    config = StudyConfig(sample_sizes=(300, 500), n_replications=7, orders=(2, 3), seed=5)
+    assert json.loads(proc.stdout) == serial_study_rows(config)
+
+
+def test_study_error_in_a_worker_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # a rate this large passes the population reference, then every
+    # replication's Poisson draw refuses it inside a worker process
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    out_dir = tmp_path / "s"
+    argv = ["study", "--lam", "1e20", "--sizes", "100", "--reps", "3", "--out-dir", str(out_dir)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == err[-1:]
+    assert "lam" in err[-1]
+    assert multiprocessing.active_children() == []
+    assert not (out_dir / "study.json").exists()
 
 
 @pytest.mark.parametrize("sizes", ["100", "100,100"])

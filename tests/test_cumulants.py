@@ -24,6 +24,7 @@ from cumulyap.cumulants import (
     _convert,
     _cumulant_jacobian,
     _feature_moments,
+    _pair_table,
     _prefix_table,
     _split_table,
     _start,
@@ -42,8 +43,10 @@ from oracles import (
     feature_matrix_full,
     feature_moments_full,
     moment_from_cumulants,
+    pair_table_loop,
     population_omega_loop,
     set_partitions,
+    split_table_loop,
 )
 
 
@@ -89,6 +92,19 @@ def test_split_table_is_shared_and_read_only():
     for array in (heads, tails):
         with pytest.raises(ValueError):
             array[0, 0] = 0
+
+
+@pytest.mark.parametrize("d, k", [(3, 3), (4, 6), (6, 8), (8, 8)])
+def test_split_table_matches_column_by_column_ranks(d, k):
+    heads, tails = _split_table(d, k)
+    want_heads, want_tails = split_table_loop(d, k)
+    assert np.array_equal(heads, want_heads) and np.array_equal(tails, want_tails)
+
+
+@pytest.mark.parametrize("orders", [(2, 3), (2, 3, 4)])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8])
+def test_pair_table_matches_pair_by_pair_lookup(d, orders):
+    assert np.array_equal(_pair_table(d, max(orders)), pair_table_loop(d, max(orders)))
 
 
 def test_cumulants_of_normal_from_scipy_moments():

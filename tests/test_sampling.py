@@ -422,3 +422,27 @@ def test_map_on_cores_returns_results_in_index_order(cores, monkeypatch):
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads_before
     assert results == [(i, sum(range(1000 * i))) for i in range(20)]
+
+
+@pytest.mark.parametrize(
+    "d, zero",
+    [
+        (d, zero)
+        for d in range(1, 11)
+        for zero in ([], [0], [d // 2], [d - 1], [0, d // 2, d - 1])
+        if len(set(zero)) < d
+    ],
+)
+def test_coordinates_equal_cdf_search(d, zero):
+    # the sampler's cdf, with zero rates at the first, a middle and the last
+    # coordinate, and u at 0, at each edge, one ulp either side and 1 - 2^-53
+    rates = np.random.default_rng(d).uniform(0.1, 2.0, d)
+    rates[zero] = 0.0
+    cdf = (rates / rates.sum()).cumsum()
+    cdf /= cdf[-1]
+    edges = cdf[:-1]
+    u = np.concatenate(
+        [[0.0, 1.0 - 2.0**-53], edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)]
+    )
+    u = u[u < 1.0]  # Generator.random never gives 1
+    assert np.array_equal(sampling._coordinates(cdf, u), cdf.searchsorted(u, "right"))

@@ -8,11 +8,18 @@ from hypothesis import strategies as st
 
 from cumulyap.tensors import (
     SymmetricTensor,
+    _index_rank,
     canonical_index,
     slot_replacements,
     unique_indices,
 )
-from oracles import kron_sum_matrix, n_mode_product, slot_replacements_loop, vec
+from oracles import (
+    index_rank_by_code,
+    kron_sum_matrix,
+    n_mode_product,
+    slot_replacements_loop,
+    vec,
+)
 
 
 def test_unique_indices_enumeration():
@@ -37,8 +44,17 @@ def test_canonical_index_is_sorted_and_permutation_invariant(index):
     assert canonical_index(reversed(index)) == canon
 
 
+@pytest.mark.parametrize("d, j", [(1, 4), (2, 64), (3, 41), (5, 3), (10, 5)])
+def test_index_rank_counts_earlier_indices(d, j):
+    # at (2, 64) and (3, 41) the base-d codes pass int64
+    index = np.array(unique_indices(d, j))
+    assert np.array_equal(_index_rank(d, index), np.arange(len(index)))
+    rows = np.random.default_rng(j).choice(len(index), (4, 5))
+    assert np.array_equal(_index_rank(d, index[rows]), index_rank_by_code(d, index[rows]))
+
+
 def test_slot_replacements_table():
-    # at (2, 64) the base-d codes of the replaced indices pass int64
+    # at (2, 64) the base-d codes of the replaced indices would pass int64
     for d, k in [(1, 1), (1, 2), (2, 3), (3, 3), (3, 4), (5, 2), (4, 6), (2, 9), (2, 64)]:
         table = slot_replacements(d, k)
         assert table.shape == (len(unique_indices(d, k)) * k * d, 4)
