@@ -45,6 +45,9 @@ __all__ = [
 
 TRUNCATION_TOL = 1e-12
 CHUNK_DRAWS = 32768
+# a chunk's jump total, about CHUNK_DRAWS times this, and the 2 * total words
+# its size stream skips then stay below 2**62 (see sample_steady_state)
+MAX_JUMPS_PER_DRAW = 2**62 // (2 * CHUNK_DRAWS)
 BLOCK_JUMPS = 8192
 EIGENBASIS_COND_LIMIT = 1e8
 
@@ -241,6 +244,15 @@ def sample_steady_state(M: np.ndarray, levy: LevySpec, n: int, seed=None) -> np.
     (n <= CHUNK_DRAWS) or on one core starts no thread, and the array is the
     same bit for bit on any number of cores. Safe to call from several
     threads at once; each such call may start its own helpers.
+
+    The expected jumps per draw, total_rate * horizon, the Poisson lam of
+    each count, must be at most MAX_JUMPS_PER_DRAW = 2**62 / (2 CHUNK_DRAWS)
+    = 2**46, or a ValueError naming the rate, the horizon and their product
+    is raised before any draw. A chunk then expects at most 2**61 jumps, so
+    its int64 `np.cumsum(counts)` and the 2 * total words by which its size
+    stream is advanced stay below 2**62, half the int64 range, leaving room
+    for the counts to exceed their mean; past the bound the cumsum could
+    wrap, and numpy's Poisson draw refuses lam above about 9.2e18 anyway.
     """
     M = np.asarray(M, dtype=float)
     d = M.shape[0]
@@ -258,6 +270,12 @@ def sample_steady_state(M: np.ndarray, levy: LevySpec, n: int, seed=None) -> np.
     Qinv = np.linalg.inv(Q)
     horizon = np.log(TRUNCATION_TOL) / np.max(delta.real)
     total_rate = float(levy.rates.sum())
+    if total_rate * horizon > MAX_JUMPS_PER_DRAW:
+        raise ValueError(
+            f"too many jumps per draw: total jump rate {total_rate:.6g} x horizon "
+            f"{horizon:.6g} gives a Poisson lam of {total_rate * horizon:.6g}, "
+            f"above MAX_JUMPS_PER_DRAW = {MAX_JUMPS_PER_DRAW}"
+        )
     # the cdf Generator.choice would search, so the coordinates match its draws
     coord_cdf = (levy.rates / total_rate).cumsum()
     coord_cdf /= coord_cdf[-1]

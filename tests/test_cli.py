@@ -1,3 +1,4 @@
+import io
 import json
 import multiprocessing
 import os
@@ -94,6 +95,27 @@ def study_model(d):
     return M, LevySpec(np.full(d, c.lam), BetaJumps(c.mu, c.nu))
 
 
+JUMP_BOUND_LINE = (
+    "error: too many jumps per draw: total jump rate 3e+16 x horizon 11.1745 gives a "
+    "Poisson lam of 3.35236e+17, above MAX_JUMPS_PER_DRAW = 70368744177664"
+)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "-n", "5", "--out", "x.csv"], ["study", "--sizes", "100", "--reps", "3", "--out-dir", "s"]],
+    ids=["simulate", "study"],
+)
+def test_jumps_per_draw_are_bounded(tmp_path, monkeypatch, capsys, command):
+    # 1e16 per coordinate wrapped a chunk's int64 jump total
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], "--lam", "1e16", *command[1:]]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == [JUMP_BOUND_LINE]
+    assert err[-1] == JUMP_BOUND_LINE
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "s" / "study.json").exists()
+
+
 @pytest.mark.parametrize("d", [2, 5])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_simulate_csv_reads_back_bit_for_bit(tmp_path, d, offset):
@@ -133,6 +155,198 @@ def test_read_samples_header_detection(tmp_path):
     np.savetxt(headed, X, delimiter=",", header="x1,x2,x3", comments="")
     assert np.array_equal(_read_samples(bare), X)
     assert np.array_equal(_read_samples(headed), X)
+
+
+def csv_text(X, fmt="%.17g", header=True, newline="\n"):
+    lines = [",".join(fmt % v for v in row) for row in X]
+    if header:
+        lines.insert(0, ",".join(f"x{i + 1}" for i in range(X.shape[1])))
+    return newline.join(lines) + newline
+
+
+def with_lines_every(text, every, *extra):
+    lines = text.split("\n")
+    for at in range(len(lines) - 1, 0, -every):
+        lines[at:at] = extra
+    return "\n".join(lines)
+
+
+def with_middle_comment(text):
+    # half the body: it spans the middle cut of 2 shares and both cuts of 3
+    middle = text.index("\n", len(text) // 2) + 1
+    return text[:middle] + "#" * len(text) + "\n" + text[middle:]
+
+
+FORK_X = np.random.default_rng(9).normal(size=(20000, 3)) * np.logspace(-3, 3, 20000)[:, None]
+FORK_CASES = {
+    "header": lambda X: csv_text(X),
+    "no-header-18e": lambda X: csv_text(X, "%.18e", header=False),
+    "crlf": lambda X: csv_text(X, newline="\r\n"),
+    "no-final-newline": lambda X: csv_text(X)[:-1],
+    "blank-and-comment-lines": lambda X: with_lines_every(csv_text(X), 997, "", "# note"),
+    "line-across-cuts": lambda X: with_middle_comment(csv_text(X)),
+    "one-column": lambda X: csv_text(X[:, :1]),
+    "inf-and-nan": lambda X: csv_text(np.where(X > 2.5, np.inf, np.where(X < -2.5, np.nan, X))),
+    # the children decode the file as the single parse does: NBSP is
+    # whitespace only when the UTF-8 bytes are read as UTF-8
+    "nbsp-padding": lambda X: csv_text(X).replace(",", "\u00a0,"),
+}
+
+
+def forked_reads(monkeypatch, cores):
+    """Run _read_samples on `cores` cores with 64 KiB shares; returns the
+    list that gets each forked parse's result (None for a fallback)."""
+    monkeypatch.setattr(cli, "_available_cores", lambda: cores)
+    monkeypatch.setattr(cli, "SPLIT_BYTES", 1 << 16)
+    results = []
+    parse = cli._parse_forked
+
+    def recorded(*args):
+        results.append(parse(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "_parse_forked", recorded)
+    return results
+
+
+@pytest.mark.parametrize("case", FORK_CASES)
+@pytest.mark.parametrize("cores", [2, 3])
+def test_read_samples_forked_equals_serial(tmp_path, monkeypatch, cores, case):
+    path = tmp_path / "samples.csv"
+    path.write_bytes(FORK_CASES[case](FORK_X).encode("utf-8"))
+    skip = 0 if case == "no-header-18e" else 1
+    serial = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    results = forked_reads(monkeypatch, cores)
+    X = _read_samples(path)
+    assert len(results) == 1 and results[0] is not None
+    assert X.shape == serial.shape and np.array_equal(X, serial, equal_nan=True)
+    assert X.flags.c_contiguous and X.dtype == np.float64
+
+
+def with_line(text, at, line):
+    lines = text.split("\n")
+    lines[at] = line
+    return "\n".join(lines)
+
+
+def columns_change_at_the_cut():
+    # no header, and two halves of equal bytes, so 2 shares cut exactly
+    # between the 2-column and the 3-column rows. The second child's whole
+    # output fits in a pipe's buffer, so it exits 0 whatever the parent
+    # reads, and only the column check stops 3 columns read as 2
+    first = csv_text(FORK_X[:4000, :2], header=False)
+    second = csv_text(FORK_X[4000:6000], header=False)
+    return first + second + "#" * (len(first) - len(second) - 1) + "\n"
+
+
+BAD_CASES = {
+    # in the last of 2 or 3 ranges
+    "ragged-row": lambda: with_line(csv_text(FORK_X), 15000, "1.0,2.0"),
+    "non-numeric-cell": lambda: with_line(csv_text(FORK_X), 15000, "1.0,x,3.0"),
+    "columns-change-at-the-cut": columns_change_at_the_cut,
+}
+
+
+@pytest.mark.parametrize("case", BAD_CASES)
+def test_read_samples_forked_errors_are_the_serial_ones(tmp_path, monkeypatch, capsys, case):
+    path = tmp_path / "bad.csv"
+    path.write_text(BAD_CASES[case]())
+    argv = ["estimate", "--samples", str(path)]
+    monkeypatch.setattr(cli, "_available_cores", lambda: 1)
+    assert main(argv) == 1
+    serial = capsys.readouterr().err
+    assert serial.startswith("error: ") and " row " in serial
+    for cores in (2, 3):
+        results = forked_reads(monkeypatch, cores)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == serial
+        assert results == [None]
+
+
+def test_read_samples_child_failure_falls_back(tmp_path, monkeypatch):
+    path = tmp_path / "samples.csv"
+    path.write_text(csv_text(FORK_X))
+    loadtxt = np.loadtxt
+
+    def only_paths(fname, *args, **kwargs):
+        # the children parse an in-memory stream; the single parse, a path
+        if isinstance(fname, io.IOBase):
+            raise RuntimeError("child fails")
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", only_paths)
+    results = forked_reads(monkeypatch, 3)
+    X = _read_samples(path)
+    assert results == [None]
+    assert np.array_equal(X, loadtxt(path, delimiter=",", skiprows=1, ndmin=2))
+
+
+def test_read_samples_child_warning_falls_back(tmp_path):
+    # the middle of 3 ranges holds comment lines only, on which loadtxt warns;
+    # with one column its empty result alone would not send the read back.
+    # In a subprocess, so that a warning a child prints reaches its stderr
+    lines = csv_text(FORK_X[:, :1]).split("\n")
+    lines[10000:10000] = ["# comment"] * 200_000
+    path, out = tmp_path / "samples.csv", tmp_path / "read.npy"
+    path.write_text("\n".join(lines))
+    script = (
+        "import sys, numpy as np\n"
+        "from cumulyap import cli\n"
+        "cli.SPLIT_BYTES, cli._available_cores = 1 << 16, lambda: 3\n"
+        "np.save(sys.argv[2], cli._read_samples(sys.argv[1]))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path), str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert np.array_equal(np.load(out), np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2))
+
+
+@pytest.mark.parametrize("setting", ["one-core", "small-body", "no-fork", "lone-cr-header"])
+def test_read_samples_in_process_starts_no_child(tmp_path, monkeypatch, setting):
+    path = tmp_path / "samples.csv"
+    X = FORK_X[:1000] if setting == "small-body" else FORK_X
+    if setting == "lone-cr-header":
+        # a header line in text mode, but not a line of its own in bytes
+        path.write_bytes(b"x1,x2,x3\r" + csv_text(X, header=False).encode())
+    else:
+        path.write_text(csv_text(X))
+    monkeypatch.setattr(cli, "SPLIT_BYTES", 1 << 16)
+    assert (path.stat().st_size < 2 * cli.SPLIT_BYTES) == (setting == "small-body")
+    monkeypatch.setattr(cli, "_available_cores", lambda: 1 if setting == "one-core" else 2)
+    if setting == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+
+        def refuse():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+    assert np.array_equal(_read_samples(path), np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2))
+
+
+def test_estimate_forks_on_a_large_sample(tmp_path, monkeypatch):
+    # at the real SPLIT_BYTES: 40k rows x 3 is about 2.7 MB, two shares
+    sim = tmp_path / "sim.csv"
+    assert main(["simulate", "--d", "3", "-n", "40000", "--seed", "5", "--out", str(sim)]) == 0
+    assert sim.stat().st_size >= 2 * cli.SPLIT_BYTES
+    reports, forks, fork = [], [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    for cores in (1, 2):
+        monkeypatch.setattr(cli, "_available_cores", lambda: cores)
+        forks.clear()
+        out = tmp_path / f"est{cores}.json"
+        assert main(["estimate", "--samples", str(sim), "--out", str(out)]) == 0
+        assert len(forks) == (0 if cores == 1 else 2)
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
 
 
 def test_estimate_schema(tmp_path):
@@ -348,6 +562,9 @@ for command in (
 ):
     assert cli.main(command) == 0, command
     check(command[0])
+    if command[0] == "estimate":
+        # the read forks directly: multiprocessing would add to its peak RSS
+        assert "multiprocessing" not in sys.modules, "estimate imported multiprocessing"
 """
 
 
