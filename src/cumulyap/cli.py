@@ -29,6 +29,7 @@ from .sampling import (
     BetaJumps,
     LevySpec,
     _available_cores,
+    _fork_map,
     sample_steady_state,
     study_drift_matrix,
 )
@@ -111,11 +112,12 @@ def _read_samples(path) -> np.ndarray:
     A header is a first line that does not parse as numbers. The body is one
     `np.loadtxt` call, or, when it holds at least 2 * SPLIT_BYTES bytes and
     more than one core is available, min(cores, body // SPLIT_BYTES) ranges
-    of whole lines parsed at once by forked children (`_parse_forked`). The
-    array is the same bit for bit either way: a child parses its lines with
-    the same call, and if any child fails, warns, or disagrees on the number
-    of columns, the whole file is parsed again by the single call, so every
-    error and warning, row numbers included, is that call's.
+    of whole lines parsed by forked children (`_fork_map` over
+    `_parse_range`) and stacked. The array is the same bit for bit either
+    way: a child parses its lines with the same call, and if any child
+    fails, warns, or disagrees on the number of columns, the whole file is
+    parsed again by the single call, so every error and warning, row numbers
+    included, is that call's.
     """
     # numbers may hold letters too ("1e-05", "inf", "nan"), so letters alone
     # do not mark a header
@@ -143,89 +145,30 @@ def _read_samples(path) -> np.ndarray:
                 cuts.append(fh.tell())
             cuts.append(size)
             ranges = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-            samples = _parse_forked(path, ranges, encoding)
-            if samples is not None:
-                return samples
+            try:
+                blocks = _fork_map(lambda r: _parse_range(path, *r, encoding), ranges)
+                if len({block.shape[1] for block in blocks}) == 1:
+                    return np.concatenate(blocks)
+            except Exception:  # the single parse below raises or warns as it should
+                pass
     with warnings.catch_warnings():
         # no data rows is reported by estimate_omega as "need at least 2 samples"
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         return np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
 
 
-def _parse_forked(path, ranges, encoding) -> np.ndarray | None:
-    """The rows of each byte range of whole lines, stacked, or None.
-
-    One child per range is forked; it parses its lines and sends its shape,
-    then its float64 values, through a pipe, and the values are read
-    straight into that child's rows of the one output array. Every child is
-    waited for before return. None when any child could not be started,
-    failed or ended its output early, or the column counts differ.
-    """
-    children = []
-    try:
-        for lo, hi in ranges:
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                return None
-            if pid == 0:
-                read_ends = [read_end] + [reader.fileno() for _, reader in children]
-                _parse_range(path, lo, hi, encoding, read_ends, write_end)
-            os.close(write_end)
-            children.append((pid, open(read_end, "rb")))
-        shapes = [reader.read(16) for _, reader in children]
-        if any(len(shape) < 16 for shape in shapes):
-            return None
-        rows, cols = np.frombuffer(b"".join(shapes), np.int64).reshape(-1, 2).T
-        if len(set(cols.tolist())) != 1:
-            return None
-        out = np.empty((int(rows.sum()), int(cols[0])))
-        view = memoryview(out).cast("B")
-        start = 0
-        for (_, reader), count in zip(children, rows.tolist()):
-            stop = start + count * out.shape[1] * out.itemsize
-            if reader.readinto(view[start:stop]) != stop - start:
-                return None
-            start = stop
-    finally:
-        # a child still writing meets a closed pipe and exits
-        for _, reader in children:
-            reader.close()
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    return out if not any(statuses) else None
-
-
-def _parse_range(path, lo: int, hi: int, encoding: str, read_ends, write_end: int) -> None:
-    """In a forked child: parse bytes [lo, hi) of path, write them to the
-    pipe, and exit, with status 0 only when all of it was written.
-
-    read_ends are the pipes' read ends the child inherited, its own included.
-    The bytes are read as the single parse reads the file: in text mode,
-    with its encoding. Warnings are errors, so a warning sends the parent to
-    the single parse, which gives it. The child never returns to its caller
-    or flushes the stdio buffers it shares with it.
-    """
-    status = 1
-    try:
-        # the parent alone holds read ends, so its closing one breaks a write
-        for fd in read_ends:
-            os.close(fd)
-        with open(path, "rb") as fh:
-            fh.seek(lo)
-            data = fh.read(hi - lo)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            text = io.TextIOWrapper(io.BytesIO(data), encoding=encoding)
-            rows = np.loadtxt(text, delimiter=",", ndmin=2)
-        with open(write_end, "wb") as pipe:
-            pipe.write(np.array(rows.shape, np.int64).tobytes())
-            pipe.write(np.ascontiguousarray(rows).data)
-        status = 0
-    finally:
-        os._exit(status)
+def _parse_range(path, lo: int, hi: int, encoding: str) -> np.ndarray:
+    """The rows in bytes [lo, hi) of path, whole lines, read as the single
+    parse reads the file: in text mode, with its encoding. Warnings are
+    errors, so a warning sends the read back to the single parse, which
+    gives it."""
+    with open(path, "rb") as fh:
+        fh.seek(lo)
+        data = fh.read(hi - lo)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = io.TextIOWrapper(io.BytesIO(data), encoding=encoding)
+        return np.loadtxt(text, delimiter=",", ndmin=2)
 
 
 def _write_samples(path, samples: np.ndarray) -> None:

@@ -21,6 +21,7 @@ output does not depend on the number of cores.
 from __future__ import annotations
 
 import os
+import pickle
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -166,6 +167,8 @@ def study_drift_matrix(d: int, gamma: float, rho: float) -> np.ndarray:
     """
     if d < 1:
         raise ValueError(f"need dimension d >= 1, got {d}")
+    if not np.isfinite(gamma):
+        raise ValueError(f"need a finite rotation strength gamma, got {gamma}")
     if not 0.0 <= rho < 1.0:
         raise ValueError("need coupling rho in [0, 1)")
     eta = rho / (1.0 + rho * (d - 1))
@@ -362,7 +365,7 @@ def _map_on_cores(task, count: int) -> list:
     """[task(i) for i in range(count)], in index order, on the available cores.
 
     The sampler's chunks run through here; the study's replications run in
-    worker processes instead (see run_study), where these threads would hold
+    forked children instead (`_fork_map`), where these threads would hold
     one GIL between them. The calling thread works through the indices
     together with min(cores, count) - 1 helper threads, created here and
     joined before return; each thread takes the next index from one shared
@@ -392,3 +395,65 @@ def _map_on_cores(task, count: int) -> list:
         for future in futures:
             future.result()
     return results
+
+
+def _fork_map(task, items) -> list:
+    """[task(x) for x in items], in order, for a sequence of items shared out
+    among forked children.
+
+    One item, one core, or no `os.fork` runs the tasks in this process.
+    Otherwise min(cores, items) children are forked, each running one
+    contiguous share of the items (`_run_share`), and their pipes are loaded
+    in order. A task's exception is raised here; a child that ends without
+    sending its results (killed, exited, or with a result or exception that
+    will not pickle) raises RuntimeError. Every read end is closed and every
+    child waited for before this returns or raises.
+    """
+    workers = min(_available_cores(), len(items))
+    if workers < 2 or not hasattr(os, "fork"):
+        return [task(x) for x in items]
+    readers, pids = [], []
+    try:
+        for i in range(workers):
+            share = items[i * len(items) // workers : (i + 1) * len(items) // workers]
+            read_end, write_end = os.pipe()
+            readers.append(open(read_end, "rb"))
+            with open(write_end, "wb") as writer:
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(task, share, readers, writer)
+            pids.append(pid)
+        results = []
+        for reader in readers:
+            try:
+                ok, value = pickle.load(reader)
+            except Exception as exc:  # no bytes, too few, or an exception that won't rebuild
+                raise RuntimeError("a forked worker ended without its results") from exc
+            if not ok:
+                raise value
+            results.extend(value)
+        return results
+    finally:
+        # a child still writing meets a closed pipe and exits
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _run_share(task, share, readers, writer) -> None:
+    """In a forked child: close the inherited read ends, so that the
+    parent's closing one breaks a write, pickle (True, results) or (False,
+    the exception) into writer, and exit without returning to the caller or
+    flushing the stdio buffers shared with the parent."""
+    try:
+        for reader in readers:
+            os.close(reader.fileno())
+        try:
+            payload = (True, [task(x) for x in share])
+        except Exception as exc:
+            payload = (False, exc)
+        writer.write(pickle.dumps(payload))
+        writer.flush()
+    finally:
+        os._exit(0)

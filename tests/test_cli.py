@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cumulyap import cli, coefficients, cumulants, estimation, study
+from cumulyap import cli, coefficients, cumulants, estimation, sampling, study
 from cumulyap.cli import StudyConfig, _read_samples, build_parser, main, run_study
 from cumulyap.cumulants import empirical_cumulants, population_omega
 from cumulyap.estimation import asymptotic_covariance, estimate_drift
@@ -95,24 +95,43 @@ def study_model(d):
     return M, LevySpec(np.full(d, c.lam), BetaJumps(c.mu, c.nu))
 
 
-JUMP_BOUND_LINE = (
-    "error: too many jumps per draw: total jump rate 3e+16 x horizon 11.1745 gives a "
-    "Poisson lam of 3.35236e+17, above MAX_JUMPS_PER_DRAW = 70368744177664"
-)
+JUMP_BOUND_LINES = {
+    "1e16": "error: too many jumps per draw: total jump rate 3e+16 x horizon 11.1745 gives a "
+    "Poisson lam of 3.35236e+17, above MAX_JUMPS_PER_DRAW = 70368744177664",
+    "1e18": "error: too many jumps per draw: total jump rate 3e+18 x horizon 11.1745 gives a "
+    "Poisson lam of 3.35236e+19, above MAX_JUMPS_PER_DRAW = 70368744177664",
+}
+
+
+STUDY_ARGS = ["study", "--sizes", "100", "--reps", "3", "--out-dir", "s"]
 
 
 @pytest.mark.parametrize(
-    "command",
-    [["simulate", "-n", "5", "--out", "x.csv"], ["study", "--sizes", "100", "--reps", "3", "--out-dir", "s"]],
-    ids=["simulate", "study"],
+    "lam, command",
+    [("1e16", ["simulate", "-n", "5", "--out", "x.csv"]), ("1e16", STUDY_ARGS), ("1e18", STUDY_ARGS)],
+    ids=["simulate", "study", "study-lam-1e18"],
 )
-def test_jumps_per_draw_are_bounded(tmp_path, monkeypatch, capsys, command):
-    # 1e16 per coordinate wrapped a chunk's int64 jump total
+def test_jumps_per_draw_are_bounded(tmp_path, monkeypatch, capsys, lam, command):
+    # 1e16 per coordinate wrapped a chunk's int64 jump total; at 1e18 the
+    # study's population reference overflowed, unless refused before it
     monkeypatch.chdir(tmp_path)
-    assert main([command[0], "--lam", "1e16", *command[1:]]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert [line for line in err if line.startswith("error:")] == [JUMP_BOUND_LINE]
-    assert err[-1] == JUMP_BOUND_LINE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning ahead of the error line fails
+        assert main([command[0], "--lam", lam, *command[1:]]) == 1
+    assert capsys.readouterr().err.splitlines() == [JUMP_BOUND_LINES[lam]]
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "s" / "study.json").exists()
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command", [["simulate", "-n", "5", "--out", "x.csv"], STUDY_ARGS], ids=["simulate", "study"]
+)
+def test_non_finite_gamma_is_one_error_line(tmp_path, monkeypatch, capsys, command, gamma):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command[0], "--gamma", gamma, *command[1:]]) == 1
+    assert capsys.readouterr().err == f"error: need a finite rotation strength gamma, got {gamma}\n"
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "s" / "study.json").exists()
 
 
@@ -195,17 +214,19 @@ FORK_CASES = {
 
 def forked_reads(monkeypatch, cores):
     """Run _read_samples on `cores` cores with 64 KiB shares; returns the
-    list that gets each forked parse's result (None for a fallback)."""
+    list that gets each forked parse's blocks (None when it raised)."""
     monkeypatch.setattr(cli, "_available_cores", lambda: cores)
+    monkeypatch.setattr(sampling, "_available_cores", lambda: cores)
     monkeypatch.setattr(cli, "SPLIT_BYTES", 1 << 16)
     results = []
-    parse = cli._parse_forked
+    fork_map = cli._fork_map
 
     def recorded(*args):
-        results.append(parse(*args))
+        results.append(None)
+        results[-1] = fork_map(*args)
         return results[-1]
 
-    monkeypatch.setattr(cli, "_parse_forked", recorded)
+    monkeypatch.setattr(cli, "_fork_map", recorded)
     return results
 
 
@@ -260,7 +281,9 @@ def test_read_samples_forked_errors_are_the_serial_ones(tmp_path, monkeypatch, c
         results = forked_reads(monkeypatch, cores)
         assert main(argv) == 1
         assert capsys.readouterr().err == serial
-        assert results == [None]
+        # a child raised, or the children's column counts differ
+        assert len(results) == 1
+        assert results[0] is None or len({block.shape[1] for block in results[0]}) > 1
 
 
 def test_read_samples_child_failure_falls_back(tmp_path, monkeypatch):
@@ -292,7 +315,9 @@ def test_read_samples_child_warning_falls_back(tmp_path):
     script = (
         "import sys, numpy as np\n"
         "from cumulyap import cli\n"
+        "from cumulyap import sampling\n"
         "cli.SPLIT_BYTES, cli._available_cores = 1 << 16, lambda: 3\n"
+        "sampling._available_cores = cli._available_cores\n"
         "np.save(sys.argv[2], cli._read_samples(sys.argv[1]))\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
@@ -341,6 +366,7 @@ def test_estimate_forks_on_a_large_sample(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", counted)
     for cores in (1, 2):
         monkeypatch.setattr(cli, "_available_cores", lambda: cores)
+        monkeypatch.setattr(sampling, "_available_cores", lambda: cores)
         forks.clear()
         out = tmp_path / f"est{cores}.json"
         assert main(["estimate", "--samples", str(sim), "--out", str(out)]) == 0
@@ -562,9 +588,9 @@ for command in (
 ):
     assert cli.main(command) == 0, command
     check(command[0])
-    if command[0] == "estimate":
-        # the read forks directly: multiprocessing would add to its peak RSS
-        assert "multiprocessing" not in sys.modules, "estimate imported multiprocessing"
+    if command[0] in ("estimate", "study"):
+        # both fork directly: multiprocessing would add to their start-up and peak RSS
+        assert "multiprocessing" not in sys.modules, f"{command[0]} imported multiprocessing"
 """
 
 
@@ -651,19 +677,25 @@ def test_run_study_workers_match_serial_loop(cores, monkeypatch):
     # worker processes, whatever this machine has
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cores)))
     config = StudyConfig(sample_sizes=(300, 500), n_replications=7, orders=(2, 3), seed=5)
-    log_threads, log_children = [], []
+    log_threads, log_forks, forks, fork = [], [], [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
 
     def log(msg):
         log_threads.append(threading.current_thread())
-        log_children.append(len(multiprocessing.active_children()))
+        log_forks.append(len(forks))
+        forks.clear()
 
+    monkeypatch.setattr(os, "fork", counted)
     threads_before = threading.active_count()
     result = run_study(config, log=log)
     assert multiprocessing.active_children() == []
     assert threading.active_count() == threads_before
     assert log_threads == [threading.main_thread()] * 3
-    # the first line comes before the pool starts, the others while it runs
-    assert log_children == ([0, 0, 0] if cores == 1 else [0, 3, 3])
+    # no fork before the first line, then three for each sample size
+    assert log_forks == ([0, 0, 0] if cores == 1 else [0, 3, 3])
     rows = [{k: v for k, v in row.items() if k != "seconds"} for row in result.rows]
     assert rows == serial_study_rows(config)
 

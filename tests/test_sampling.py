@@ -1,3 +1,5 @@
+import os
+import signal
 import sys
 import threading
 import tracemalloc
@@ -422,6 +424,83 @@ def test_map_on_cores_returns_results_in_index_order(cores, monkeypatch):
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads_before
     assert results == [(i, sum(range(1000 * i))) for i in range(20)]
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_fork_map_returns_results_in_item_order(cores, monkeypatch):
+    monkeypatch.setattr(sampling, "_available_cores", lambda: cores)
+    results = sampling._fork_map(lambda x: (x * x, os.getpid()), range(7))
+    assert [value for value, _ in results] == [x * x for x in range(7)]
+    pids = [pid for _, pid in results]
+    if cores == 1:
+        assert set(pids) == {os.getpid()}
+    else:
+        # one contiguous share per child, none run in this process
+        assert len(set(pids)) == cores and os.getpid() not in pids
+        assert sum(a != b for a, b in zip(pids, pids[1:])) == cores - 1
+
+
+def waited_for_every_child():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_fork_map_raises_a_task_error_after_waiting(monkeypatch):
+    monkeypatch.setattr(sampling, "_available_cores", lambda: 3)
+
+    def task(x):
+        if x == 5:
+            raise ValueError(f"bad item {x}")
+        return x
+
+    with pytest.raises(ValueError, match="^bad item 5$"):
+        sampling._fork_map(task, range(9))
+    assert waited_for_every_child()
+
+
+def exits(x):
+    os._exit(0)
+
+
+def is_killed(x):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def returns_a_lock(x):
+    return threading.Lock()
+
+
+def raises_a_lock(x):
+    raise ValueError(threading.Lock())
+
+
+@pytest.mark.parametrize("task", [exits, is_killed, returns_a_lock, raises_a_lock])
+def test_fork_map_child_without_results_is_a_runtime_error(task, monkeypatch):
+    # the task fails in the last child only; the others send their results
+    monkeypatch.setattr(sampling, "_available_cores", lambda: 2)
+    with pytest.raises(RuntimeError, match="^a forked worker ended without its results$"):
+        sampling._fork_map(lambda x: task(x) if x == 3 else x, range(4))
+    assert waited_for_every_child()
+
+
+@pytest.mark.parametrize("setting", ["one-item", "one-core", "no-fork"])
+def test_fork_map_in_process_starts_no_child(setting, monkeypatch):
+    monkeypatch.setattr(sampling, "_available_cores", lambda: 1 if setting == "one-core" else 3)
+    if setting == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+
+        def refuse():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+    items = [4] if setting == "one-item" else range(5)
+    assert sampling._fork_map(lambda x: (x, os.getpid()), items) == [
+        (x, os.getpid()) for x in items
+    ]
 
 
 @pytest.mark.parametrize(
