@@ -4,15 +4,21 @@ simulate draws steady-state samples to CSV; estimate recovers the scale-free
 drift from such samples with plug-in inference; identifiability runs the
 rank checks for a sparsity graph; study reproduces the benchmark Monte Carlo
 experiment of `cumulyap.study` at a configurable scale and writes CSV/JSON.
+A large samples CSV is formatted (`_write_samples`) and parsed
+(`_read_samples`) on every available core by children forked through
+`sampling._fork_map`; the file and the array are the same as in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
+import shutil
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -176,15 +182,49 @@ def _write_samples(path, samples: np.ndarray) -> None:
 
     Each number has 17 significant digits, so it reads back as the same
     double; BLOCK_ROWS rows are formatted at a time, by one % over a
-    template of that many lines.
+    template of that many lines (`_write_rows`). With more than one block
+    and more than one core, the blocks are shared out in min(cores, blocks)
+    contiguous runs among forked children (`_fork_map`); each child formats
+    its run into an unlinked temporary file opened here before the fork,
+    and the parts are copied into the output in row order once every child
+    has finished. The file is the same byte for byte either way. The output
+    is opened before any fork, so a path that cannot be written starts no
+    child; a child's failure is raised here.
     """
     n, d = samples.shape
-    line = ",".join(["%.17g"] * d) + "\n"
+    blocks = -(-n // BLOCK_ROWS)
+    workers = min(_available_cores(), blocks)
     with open(path, "w") as fh:
         fh.write(",".join(f"x{i + 1}" for i in range(d)) + "\n")
-        for start in range(0, n, BLOCK_ROWS):
-            block = samples[start : start + BLOCK_ROWS]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+        if workers < 2 or not hasattr(os, "fork"):
+            _write_rows(fh, samples)
+            return
+        # flushed before the fork, so no child holds the header in a buffer
+        fh.flush()
+        cuts = [i * blocks // workers * BLOCK_ROWS for i in range(workers)] + [n]
+        with contextlib.ExitStack() as stack:
+            # unbuffered, so that the seek below moves the descriptor the
+            # children wrote through rather than a cached position
+            parts = [
+                stack.enter_context(tempfile.TemporaryFile(buffering=0)) for _ in range(workers)
+            ]
+
+            def write_run(i: int) -> None:
+                with open(parts[i].fileno(), "w", encoding=fh.encoding, closefd=False) as out:
+                    _write_rows(out, samples[cuts[i] : cuts[i + 1]])
+
+            _fork_map(write_run, range(workers))
+            for part in parts:
+                part.seek(0)
+                shutil.copyfileobj(part, fh.buffer)
+
+
+def _write_rows(out, samples: np.ndarray) -> None:
+    """Write one CSV line per row of samples to the text stream out."""
+    line = ",".join(["%.17g"] * samples.shape[1]) + "\n"
+    for start in range(0, len(samples), BLOCK_ROWS):
+        block = samples[start : start + BLOCK_ROWS]
+        out.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_json(args, payload: dict) -> None:

@@ -401,7 +401,11 @@ def _fork_map(task, items) -> list:
     """[task(x) for x in items], in order, for a sequence of items shared out
     among forked children.
 
-    One item, one core, or no `os.fork` runs the tasks in this process.
+    The package's one `os.fork` site, with three callers: the study's
+    replications (`study.run_study`), and the ranges of a samples CSV that
+    `cli._read_samples` parses and the runs of row blocks that
+    `cli._write_samples` formats. One item, one core, or no `os.fork` runs
+    the tasks in this process.
     Otherwise min(cores, items) children are forked, each running one
     contiguous share of the items (`_run_share`), and their pipes are loaded
     in order. A task's exception is raised here; a child that ends without

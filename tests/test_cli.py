@@ -375,6 +375,70 @@ def test_estimate_forks_on_a_large_sample(tmp_path, monkeypatch):
     assert reports[0] == reports[1]
 
 
+def counted_forks(monkeypatch, cores):
+    """Give cli and sampling `cores` cores; returns the list that gets one
+    entry per os.fork call."""
+    monkeypatch.setattr(cli, "_available_cores", lambda: cores)
+    monkeypatch.setattr(sampling, "_available_cores", lambda: cores)
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+ROWS = cumulants.BLOCK_ROWS
+
+
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("n", [0, 1, ROWS, ROWS + 1, 3 * ROWS + 5])
+def test_simulate_forked_write_equals_in_process_bytes(tmp_path, monkeypatch, n, d):
+    # the reference formats row by row: header once, then the rows in order
+    expected = csv_text(sample_steady_state(*study_model(d), n, seed=23)).encode()
+    blocks = -(-n // ROWS)
+    for cores in (1, 2, 3):
+        forks = counted_forks(monkeypatch, cores)
+        out = tmp_path / f"sim{cores}.csv"
+        assert main(["simulate", "--d", str(d), "-n", str(n), "--seed", "23", "--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+        assert len(forks) == (0 if cores == 1 or blocks < 2 else min(cores, blocks))
+
+
+@pytest.mark.parametrize("failure", ["raises", "exits"])
+def test_simulate_failing_writer_child_is_one_error_line(tmp_path, monkeypatch, capsys, failure):
+    parent, write_rows = os.getpid(), cli._write_rows
+
+    def failing(out, samples):
+        if os.getpid() != parent:
+            if failure == "raises":
+                raise ValueError("marker from a writer")
+            os._exit(3)
+        write_rows(out, samples)
+
+    monkeypatch.setattr(cli, "_write_rows", failing)
+    forks = counted_forks(monkeypatch, 2)
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--d", "3", "-n", str(3 * ROWS + 5), "--seed", "1", "--out", str(out)]
+    assert main(argv) == 1
+    assert len(forks) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert ("marker from a writer" if failure == "raises" else "forked worker") in err[0]
+
+
+def test_simulate_unwritable_out_starts_no_child(tmp_path, monkeypatch, capsys):
+    forks = counted_forks(monkeypatch, 3)
+    out = tmp_path / "missing" / "sim.csv"
+    argv = ["simulate", "--d", "3", "-n", str(3 * ROWS + 5), "--seed", "1", "--out", str(out)]
+    assert main(argv) == 1
+    assert forks == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "missing" in err[0]
+
+
 def test_estimate_schema(tmp_path):
     sim = tmp_path / "sim.csv"
     assert main(["simulate", "--d", "2", "-n", "2000", "--seed", "7", "--out", str(sim)]) == 0
@@ -566,11 +630,17 @@ def test_python_m_entry_point():
 
 
 NO_SCIPY_SCRIPT = """
+import os
 import sys
 from pathlib import Path
 
 import cumulyap
-from cumulyap import cli
+from cumulyap import cli, sampling
+
+# two cores on any machine, so that simulate, estimate and study take their forked paths
+cli._available_cores = sampling._available_cores = lambda: 2
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
 
 def check(step):
     loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -580,7 +650,7 @@ out = Path(sys.argv[1])
 graph = ["identifiability", "--d", "2", "--edges", "1->1", "2->2", "1->2"]
 check("import cumulyap")
 for command in (
-    ["simulate", "--d", "2", "-n", "2000", "--seed", "7", "--out", str(out / "sim.csv")],
+    ["simulate", "--d", "2", "-n", "100000", "--seed", "7", "--out", str(out / "sim.csv")],
     ["estimate", "--samples", str(out / "sim.csv"), "--out", str(out / "est.json")],
     graph + ["--trials", "10", "--seed", "1", "--out", str(out / "generic.json")],
     graph + ["--method", "witness", "--out", str(out / "witness.json")],
@@ -588,9 +658,11 @@ for command in (
 ):
     assert cli.main(command) == 0, command
     check(command[0])
-    if command[0] in ("estimate", "study"):
-        # both fork directly: multiprocessing would add to their start-up and peak RSS
+    if command[0] in ("simulate", "estimate", "study"):
+        # all three fork directly: multiprocessing would add to their start-up and peak RSS
+        assert forks, f"{command[0]} did not fork"
         assert "multiprocessing" not in sys.modules, f"{command[0]} imported multiprocessing"
+    forks.clear()
 """
 
 
@@ -726,16 +798,18 @@ def test_run_study_workers_started_by_spawn():
 
 
 def test_study_error_in_a_worker_is_one_error_line(tmp_path, capsys, monkeypatch):
-    # a rate this large passes the population reference, then every
-    # replication's Poisson draw refuses it inside a worker process
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    def failing(*args):
+        raise ValueError("marker from a replication")
+
+    monkeypatch.setattr(study, "estimate_drift", failing)
+    forks = counted_forks(monkeypatch, 3)
     out_dir = tmp_path / "s"
-    argv = ["study", "--lam", "1e20", "--sizes", "100", "--reps", "3", "--out-dir", str(out_dir)]
+    argv = ["study", "--sizes", "100", "--reps", "3", "--out-dir", str(out_dir)]
     assert main(argv) == 1
+    assert len(forks) == 3
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if line.startswith("error:")] == err[-1:]
-    assert "lam" in err[-1]
-    assert multiprocessing.active_children() == []
+    assert "marker from a replication" in err[-1]
     assert not (out_dir / "study.json").exists()
 
 
