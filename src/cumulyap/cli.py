@@ -17,6 +17,7 @@ import io
 import json
 import os
 import shutil
+import stat
 import sys
 import tempfile
 import warnings
@@ -189,34 +190,49 @@ def _write_samples(path, samples: np.ndarray) -> None:
     and the parts are copied into the output in row order once every child
     has finished. The file is the same byte for byte either way. The output
     is opened before any fork, so a path that cannot be written starts no
-    child; a child's failure is raised here.
+    child. If anything fails once it is open (a child that raises or exits,
+    or a write error here), the partial file is removed, unless it is not a
+    regular file (such as /dev/stdout), and the failure is raised here.
     """
     n, d = samples.shape
     blocks = -(-n // BLOCK_ROWS)
     workers = min(_available_cores(), blocks)
-    with open(path, "w") as fh:
-        fh.write(",".join(f"x{i + 1}" for i in range(d)) + "\n")
-        if workers < 2 or not hasattr(os, "fork"):
-            _write_rows(fh, samples)
-            return
-        # flushed before the fork, so no child holds the header in a buffer
-        fh.flush()
-        cuts = [i * blocks // workers * BLOCK_ROWS for i in range(workers)] + [n]
-        with contextlib.ExitStack() as stack:
-            # unbuffered, so that the seek below moves the descriptor the
-            # children wrote through rather than a cached position
-            parts = [
-                stack.enter_context(tempfile.TemporaryFile(buffering=0)) for _ in range(workers)
-            ]
+    fh = open(path, "w")
+    try:
+        with fh:
+            fh.write(",".join(f"x{i + 1}" for i in range(d)) + "\n")
+            if workers < 2 or not hasattr(os, "fork"):
+                _write_rows(fh, samples)
+            else:
+                # flushed before the fork, so no child holds the header in a buffer
+                fh.flush()
+                _write_forked(fh, samples, blocks, workers)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
+        raise
 
-            def write_run(i: int) -> None:
-                with open(parts[i].fileno(), "w", encoding=fh.encoding, closefd=False) as out:
-                    _write_rows(out, samples[cuts[i] : cuts[i + 1]])
 
-            _fork_map(write_run, range(workers))
-            for part in parts:
-                part.seek(0)
-                shutil.copyfileobj(part, fh.buffer)
+def _write_forked(fh, samples: np.ndarray, blocks: int, workers: int) -> None:
+    """Write the rows of samples to fh after its header, formatted by
+    `workers` forked children in contiguous runs of whole blocks."""
+    cuts = [i * blocks // workers * BLOCK_ROWS for i in range(workers)] + [len(samples)]
+    with contextlib.ExitStack() as stack:
+        # unbuffered, so that the seek below moves the descriptor the
+        # children wrote through rather than a cached position
+        parts = [
+            stack.enter_context(tempfile.TemporaryFile(buffering=0)) for _ in range(workers)
+        ]
+
+        def write_run(i: int) -> None:
+            with open(parts[i].fileno(), "w", encoding=fh.encoding, closefd=False) as out:
+                _write_rows(out, samples[cuts[i] : cuts[i + 1]])
+
+        _fork_map(write_run, range(workers))
+        for part in parts:
+            part.seek(0)
+            shutil.copyfileobj(part, fh.buffer)
 
 
 def _write_rows(out, samples: np.ndarray) -> None:

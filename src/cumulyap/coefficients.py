@@ -286,14 +286,15 @@ def _trial_ranks(graph: DirectedGraph, orders, n_trials: int, seed, system) -> l
     """Ranks of n_trials random models' systems, one trial at a time.
 
     All trials are drawn in one _draw_models call, then solved and ranked as
-    stacks in the groups of _trial_groups for the top order; system maps a
+    stacks in the groups of _trial_groups for the top order, each group's
+    orders by one _solve_stacked call (one eigen-decomposition); system maps a
     group's solved cumulants, order -> unique entries (trials, N_k), to its
     stack of matrices.
     """
     drifts, noise = _draw_models(graph, orders, np.random.default_rng(seed), n_trials)
     ranks = []
     for group in _trial_groups(n_trials, graph.d, max(orders)):
-        kappas = {k: _solve_stacked(drifts[group], noise[k][group], k) for k in orders}
+        kappas = _solve_stacked(drifts[group], {k: noise[k][group] for k in orders})
         ranks += numerical_rank(system(kappas)).tolist()
     return ranks
 

@@ -185,11 +185,13 @@ def _feature_moments(samples, max_order: int, covariance: bool):
 
 
 def _sorted_orders(orders) -> list[int]:
-    """The requested cumulant orders, integers (numpy's too), as sorted ints;
-    at least one of them."""
+    """The requested cumulant orders, integers (numpy's too) of at least 1,
+    as sorted ints; at least one of them."""
     orders = sorted(_integer(k, "cumulant order") for k in orders)
     if not orders:
         raise ValueError("need at least one cumulant order")
+    if orders[0] < 1:
+        raise ValueError(f"cumulant orders must be at least 1, got {orders}")
     return orders
 
 
@@ -296,13 +298,15 @@ def population_omega(
     )
 
 
+@lru_cache(maxsize=None)
 def _pair_table(d: int, top: int) -> np.ndarray:
     """Stacked position of the product of every two monomial features of
     orders 1..top, as a square table in stacked feature order.
 
     The product of the features of indices v and w is the feature of their
     sorted concatenation, so each block of two orders is one _index_rank call
-    over the sorted concatenations of every pair.
+    over the sorted concatenations of every pair. Read-only, since every
+    caller shares it.
     """
     index = [np.array(unique_indices(d, j)) for j in range(1, top + 1)]
 
@@ -314,7 +318,9 @@ def _pair_table(d: int, top: int) -> np.ndarray:
         rank = _start(d, joined.shape[1]) + _index_rank(d, joined)
         return rank.reshape(len(v), len(w))
 
-    return np.block([[block(v, w) for w in index] for v in index])
+    table = np.block([[block(v, w) for w in index] for v in index])
+    table.flags.writeable = False
+    return table
 
 
 def beta_raw_moment(mu: float, nu: float, k: int) -> float:

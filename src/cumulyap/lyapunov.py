@@ -64,23 +64,34 @@ def _eigenvalue_sum_margins(eigs: np.ndarray, k: int) -> np.ndarray:
     return np.abs(eigs[..., multisets].sum(axis=-1)).min(axis=-1)
 
 
-def _solve_stacked(M: np.ndarray, C: np.ndarray, k: int) -> np.ndarray:
-    """Unique entries of the order-k solutions K of B(M) K + C = 0, stacked.
+def _solve_stacked(M: np.ndarray, C: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """Unique entries of the solutions K_k of B_k(M) K_k + C_k = 0, stacked,
+    for every order k of C.
 
-    M is a stack of drifts (T, d, d) and C the (T, N) unique entries of their
-    order-k noise cumulants. Each drift's eigenvalues are computed once, for
-    its scale and its multiset-sum margin; SingularSystemError is raised when
-    any margin comes within rounding of zero. Then one np.linalg.solve runs
-    over the (T, N, N) operators, the same LAPACK call per matrix as a solve
-    of one.
+    M is a stack of drifts (T, d, d) and C maps each order k to the (T, N_k)
+    unique entries of the drifts' order-k noise cumulants. Each drift is
+    eigen-decomposed once (one np.linalg.eigvals call for the stack), and its
+    eigenvalues give its scale and every order's multiset-sum margin.
+    SingularSystemError is raised, naming the first such order in sorted
+    order, when any margin comes within rounding of zero; no order is solved
+    before every order is checked. Then each order is one np.linalg.solve
+    over its (T, N_k, N_k) operators, the same LAPACK call per matrix as a
+    solve of one. With no orders, nothing is decomposed or solved.
     """
+    if not C:
+        return {}
     eigs = np.linalg.eigvals(M)
     scale = np.maximum(1.0, np.abs(eigs).max(axis=-1))
-    if np.any(_eigenvalue_sum_margins(eigs, k) <= 1e-12 * k * scale):
-        raise SingularSystemError(
-            f"{k} eigenvalues of the drift sum to zero; order-{k} equation is singular"
-        )
-    return np.linalg.solve(lyapunov_operator_matrix(M, k), -C[..., None])[..., 0]
+    orders = sorted(C)
+    for k in orders:
+        if np.any(_eigenvalue_sum_margins(eigs, k) <= 1e-12 * k * scale):
+            raise SingularSystemError(
+                f"{k} eigenvalues of the drift sum to zero; order-{k} equation is singular"
+            )
+    return {
+        k: np.linalg.solve(lyapunov_operator_matrix(M, k), -C[k][..., None])[..., 0]
+        for k in orders
+    }
 
 
 def solve_lyapunov(M: np.ndarray, noise_cumulant) -> SymmetricTensor:
@@ -91,8 +102,9 @@ def solve_lyapunov(M: np.ndarray, noise_cumulant) -> SymmetricTensor:
     entries, with B(M) = lyapunov_operator_matrix(M, k); that system has a
     unique solution exactly when no k-multiset of eigenvalues of M sums to
     zero, and SingularSystemError is raised when one comes within rounding
-    of zero. It is the stack-of-one case of the stacked solver that the
-    identifiability checks run over their trials.
+    of zero. It is the one-drift, one-order case of the stacked solver
+    `_solve_stacked`, which forward_map, population_state_cumulants and the
+    identifiability checks run over every order at once.
     """
     M = np.asarray(M, dtype=float)
     d = M.shape[0]
@@ -104,7 +116,7 @@ def solve_lyapunov(M: np.ndarray, noise_cumulant) -> SymmetricTensor:
         C = SymmetricTensor.from_dense(np.asarray(noise_cumulant, dtype=float))
     if C.d != d:
         raise ValueError(f"noise cumulant dimension {C.d} != drift dimension {d}")
-    return SymmetricTensor(d, C.k, _solve_stacked(M[None], C.values[None], C.k)[0])
+    return SymmetricTensor(d, C.k, _solve_stacked(M[None], {C.k: C.values[None]})[C.k][0])
 
 
 @dataclass
@@ -140,8 +152,15 @@ class ModelParameters:
 
 
 def forward_map(params: ModelParameters) -> dict[int, SymmetricTensor]:
-    """Steady-state cumulant tensors of the state at every noise order."""
-    return {k: solve_lyapunov(params.drift, params.noise[k]) for k in params.orders}
+    """Steady-state cumulant tensors of the state at every noise order.
+
+    One `_solve_stacked` call over every order: the drift is eigen-decomposed
+    once, and each order's tensor is what solve_lyapunov gives, bit for bit.
+    """
+    solved = _solve_stacked(
+        params.drift[None], {k: C.values[None] for k, C in params.noise.items()}
+    )
+    return {k: SymmetricTensor(params.d, k, K[0]) for k, K in solved.items()}
 
 
 def lyapunov_operator_matrix(M: np.ndarray, k: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cumulants import beta_raw_moment, compound_poisson_cumulants
-from .lyapunov import is_stable, solve_lyapunov
+from .lyapunov import _solve_stacked, is_stable
 from .tensors import SymmetricTensor, _integer
 
 __all__ = [
@@ -204,16 +204,26 @@ def population_state_cumulants(
 ) -> dict[int, SymmetricTensor]:
     """Exact stationary cumulant tensors of the state, keyed by order.
 
-    Order 1 is the stationary mean; higher orders come from the cumulant
-    equations with the compound Poisson noise tensors.
+    Order 1 is the stationary mean; the higher orders come from the cumulant
+    equations with the compound Poisson noise tensors, all solved by one
+    `_solve_stacked` call, so the drift is eigen-decomposed once however many
+    orders are asked for. Each tensor is what solve_lyapunov gives, bit for
+    bit. The drift must be square and of the noise's dimension, checked
+    before any solve.
     """
+    orders = sorted(_integer(k, "cumulant order") for k in orders)
     M = np.asarray(M, dtype=float)
+    d = M.shape[0]
+    if M.shape != (d, d):
+        raise ValueError("drift matrix must be square")
+    if levy.d != d:
+        raise ValueError(f"noise cumulant dimension {levy.d} != drift dimension {d}")
+    noise = levy.noise_cumulants([k for k in orders if k != 1])
     out: dict[int, SymmetricTensor] = {}
-    for k in sorted(_integer(k, "cumulant order") for k in orders):
-        if k == 1:
-            out[1] = SymmetricTensor(M.shape[0], 1, steady_state_mean(M, levy))
-        else:
-            out[k] = solve_lyapunov(M, levy.noise_cumulants([k])[k])
+    if 1 in orders:
+        out[1] = SymmetricTensor(d, 1, steady_state_mean(M, levy))
+    solved = _solve_stacked(M[None], {k: C.values[None] for k, C in noise.items()})
+    out.update((k, SymmetricTensor(d, k, K[0])) for k, K in solved.items())
     return out
 
 

@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
 
@@ -26,3 +27,17 @@ def no_child_process_left():
         return
     state = "running" if pid == 0 else f"exited but never waited for (pid {pid})"
     pytest.fail(f"the test left a forked child {state}")
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """The list that gets the input's shape of each np.linalg.eigvals call
+    made during the test."""
+    calls, eigvals = [], np.linalg.eigvals
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls

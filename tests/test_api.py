@@ -5,6 +5,8 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
+
 import cumulyap
 
 
@@ -40,6 +42,34 @@ def test_package_namespace_is_exports_and_modules():
     assert len(modules) == 9
     assert public == set(cumulyap.__all__) | modules
 
+
+def cached_tables():
+    """(name, function) of every lru_cache'd function of the package that
+    takes two arguments, the first named d: the index tables."""
+    for module in package_modules():
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                params = list(inspect.signature(obj).parameters)
+                if len(params) == 2 and params[0] == "d":
+                    yield f"{module.__name__}.{name}", obj
+
+
+def test_cached_tables_are_shared_and_read_only():
+    """A cached table is one object that every caller shares, so a write by
+    one caller would change what every later one reads: each ndarray it
+    returns, alone or in a tuple, must be read-only, and a second call must
+    return the same object."""
+    tables = dict(cached_tables())
+    assert {"cumulyap.cumulants._pair_table", "cumulyap.tensors.slot_replacements"} <= set(tables)
+    for name, table in tables.items():
+        first = table(3, 3)
+        assert table(3, 3) is first, f"{name} is not shared"
+        parts = first if isinstance(first, tuple) else (first,)
+        writable = [
+            i for i, part in enumerate(parts)
+            if isinstance(part, np.ndarray) and part.flags.writeable
+        ]
+        assert not writable, f"{name} returns writable arrays at {writable}"
 
 
 REPO = Path(__file__).resolve().parent.parent

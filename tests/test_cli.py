@@ -427,6 +427,27 @@ def test_simulate_failing_writer_child_is_one_error_line(tmp_path, monkeypatch, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert ("marker from a writer" if failure == "raises" else "forked worker") in err[0]
+    # no header-only CSV is left for a later estimate to misread
+    assert not out.exists()
+
+
+def test_simulate_write_error_in_process_leaves_no_file(tmp_path, monkeypatch, capsys):
+    write_rows = cli._write_rows
+
+    def failing(out, samples):
+        write_rows(out, samples[:ROWS])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_rows", failing)
+    forks = counted_forks(monkeypatch, 1)
+    out = tmp_path / "sim.csv"
+    out.write_text("an older file\n")
+    argv = ["simulate", "--d", "3", "-n", str(3 * ROWS + 5), "--seed", "1", "--out", str(out)]
+    assert main(argv) == 1
+    assert forks == []
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: [Errno 28] No space left on device"]
+    assert not out.exists()
 
 
 def test_simulate_unwritable_out_starts_no_child(tmp_path, monkeypatch, capsys):

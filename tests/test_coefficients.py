@@ -566,12 +566,60 @@ def test_stacked_solve_matches_single_and_rejects_one_singular_drift():
     rng = np.random.default_rng(32)
     drifts = rng.normal(size=(3, 3, 3)) - 6.0 * np.eye(3)
     noise = rng.normal(size=(3, 10))
-    solved = _solve_stacked(drifts, noise, 3)
-    for M, C, K in zip(drifts, noise, solved):
+    solved = _solve_stacked(drifts, {3: noise})
+    assert list(solved) == [3]
+    for M, C, K in zip(drifts, noise, solved[3]):
         assert np.array_equal(K, solve_lyapunov(M, SymmetricTensor(3, 3, C)).values)
     drifts[1] = np.diag([1.0, -1.0, -2.0])  # 1 + (-1) = 0 at order 2
     with pytest.raises(SingularSystemError):
-        _solve_stacked(drifts, rng.normal(size=(3, 6)), 2)
+        _solve_stacked(drifts, {2: rng.normal(size=(3, 6))})
+
+
+def test_stacked_solve_of_every_order_matches_single_solves():
+    rng = np.random.default_rng(33)
+    drifts = rng.normal(size=(4, 3, 3)) - 6.0 * np.eye(3)
+    noise = {k: rng.normal(size=(4, comb(k + 2, k))) for k in (5, 2, 4, 3)}
+    solved = _solve_stacked(drifts, noise)
+    assert list(solved) == [2, 3, 4, 5]
+    for k, C in noise.items():
+        for M, c, K in zip(drifts, C, solved[k]):
+            assert np.array_equal(K, solve_lyapunov(M, SymmetricTensor(3, k, c)).values)
+
+
+def test_stacked_solve_names_the_first_singular_order():
+    # eigenvalues 1, -1/2, -3: 1 - 1/2 - 1/2 = 0 at order 3, 1 + 1 + 1 - 3 = 0
+    # at order 4, and no two sum to zero
+    drifts = np.stack([np.diag([1.0, -0.5, -3.0]), -np.eye(3)])
+    noise = {k: np.ones((2, comb(k + 2, k))) for k in (4, 2, 3)}
+    with pytest.raises(SingularSystemError, match="order-3 equation is singular"):
+        _solve_stacked(drifts, noise)
+    del noise[3]
+    with pytest.raises(SingularSystemError, match="order-4 equation is singular"):
+        _solve_stacked(drifts[::-1], noise)
+    assert list(_solve_stacked(drifts[1:], noise)) == [2, 4]
+
+
+@pytest.mark.parametrize("check", ["generic", "known-noise"])
+def test_trial_ranks_eigen_decompose_once_per_group(monkeypatch, eigvals_calls, check):
+    orders = [2, 3] if check == "generic" else [3]
+    # three order-3 operators (10 x 10) per group: 10 trials make 4 groups
+    monkeypatch.setattr(coefficients, "STACK_ELEMENTS", 3 * 10**2)
+    groups = _trial_groups(10, 3, 3)
+    assert len(groups) == 4
+    draw_models, drawn = coefficients._draw_models, []
+
+    def counted_draws(*args):
+        out = draw_models(*args)
+        drawn.append(len(eigvals_calls))  # the draws' stability checks
+        return out
+
+    monkeypatch.setattr(coefficients, "_draw_models", counted_draws)
+    ranks = coefficients._trial_ranks(
+        RELABELED, orders, 10, 4, lambda kappas: kappas[3][:, None]
+    )
+    assert len(ranks) == 10
+    solves = eigvals_calls[drawn[0]:]
+    assert solves == [(len(range(10)[group]), 3, 3) for group in groups]
 
 
 @pytest.mark.parametrize("n_trials", [2.5, 3.0, True, "3", None])

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -89,7 +90,10 @@ def test_split_table_is_shared_and_read_only():
         for head, tail in zip(heads[row], tails[row]):
             assert labels[head][0] == idx[0]
             assert sorted(labels[head] + labels[tail]) == list(idx)
-    for array in (heads, tails):
+    # the other cached tables of the stacked vector are shared and read-only too
+    pairs, prefixes = _pair_table(3, 2), _prefix_table(3, 4)
+    assert _pair_table(3, 2) is pairs and _prefix_table(3, 4) is prefixes
+    for array in (heads, tails, pairs, prefixes):
         with pytest.raises(ValueError):
             array[0, 0] = 0
 
@@ -190,6 +194,23 @@ def test_cumulant_estimators_need_an_order():
     cums = {k: SymmetricTensor(2, k) for k in range(1, 5)}
     with pytest.raises(ValueError, match="need at least one cumulant order"):
         population_omega(cums, [])
+
+
+@pytest.mark.parametrize("orders", [[0], [-2], [0, 2], [3, -1, 2]])
+@pytest.mark.parametrize("estimator", ["empirical", "estimate", "population"])
+def test_cumulant_estimators_refuse_orders_below_one(estimator, orders):
+    # these used to leak numpy broadcast errors, a "k must be a non-negative
+    # integer" from deeper down, or a bare KeyError
+    X = np.random.default_rng(19).normal(size=(50, 2))
+    cums = {k: SymmetricTensor(2, k) for k in range(1, 7)}
+    call = {
+        "empirical": lambda: empirical_cumulants(X, orders),
+        "estimate": lambda: estimate_omega(X, orders),
+        "population": lambda: population_omega(cums, orders),
+    }[estimator]
+    message = f"cumulant orders must be at least 1, got {sorted(orders)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_beta_raw_moment_matches_scipy():

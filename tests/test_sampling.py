@@ -80,6 +80,33 @@ def test_population_state_cumulants_rejects_non_integer_order():
     assert list(population_state_cumulants(M, levy, [np.int64(3), 1])) == [1, 3]
 
 
+@pytest.mark.parametrize("orders", [[1], [2], [1, 2], range(1, 7), []])
+def test_population_state_cumulants_checks_noise_dimension_first(orders):
+    # order 1 alone used to leak numpy's "solve1: Input operand 1 has a
+    # mismatch" from the stationary mean
+    M = study_drift_matrix(3, 1.0, 0.2)
+    levy = LevySpec(np.ones(2), BetaJumps(0.5, 2.0))
+    with pytest.raises(ValueError, match="noise cumulant dimension 2 != drift dimension 3"):
+        population_state_cumulants(M, levy, orders)
+    with pytest.raises(ValueError, match="drift matrix must be square"):
+        population_state_cumulants(np.ones((3, 2)), levy, orders)
+
+
+def test_population_state_cumulants_eigen_decompose_once(eigvals_calls):
+    M = study_drift_matrix(3, 1.0, 0.2)
+    levy = LevySpec(np.ones(3), BetaJumps(0.5, 2.0))
+    eigvals_calls.clear()  # the drift's stability check
+    out = population_state_cumulants(M, levy, range(1, 7))
+    assert eigvals_calls == [(1, 3, 3)]
+    assert list(out) == [1, 2, 3, 4, 5, 6]
+    for k in range(2, 7):
+        want = solve_lyapunov(M, levy.noise_cumulants([k])[k])
+        assert np.array_equal(out[k].values, want.values)
+    # the five single-order solves above; the mean alone decomposes nothing
+    population_state_cumulants(M, levy, [1])
+    assert len(eigvals_calls) == 1 + 5
+
+
 @pytest.mark.parametrize(
     "c2,cr", [(1.0, float("nan")), (float("nan"), 1.0), (1.0, float("inf")), (float("inf"), 2.0)]
 )
