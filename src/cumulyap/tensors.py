@@ -13,6 +13,7 @@ import itertools
 from functools import lru_cache
 from math import comb
 from numbers import Integral
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,8 +52,9 @@ def canonical_index(index) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _position_lookup(d: int, k: int) -> dict[tuple[int, ...], int]:
-    return {idx: p for p, idx in enumerate(unique_indices(d, k))}
+def _position_lookup(d: int, k: int) -> MappingProxyType:
+    # read-only, as every caller shares the one cached mapping
+    return MappingProxyType({idx: p for p, idx in enumerate(unique_indices(d, k))})
 
 
 def _index_rank(d: int, indices: np.ndarray) -> np.ndarray:

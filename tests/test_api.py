@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+from collections.abc import MutableMapping
 from pathlib import Path
 
 import numpy as np
@@ -57,10 +58,15 @@ def cached_tables():
 def test_cached_tables_are_shared_and_read_only():
     """A cached table is one object that every caller shares, so a write by
     one caller would change what every later one reads: each ndarray it
-    returns, alone or in a tuple, must be read-only, and a second call must
+    returns, alone or in a tuple, must be read-only, as must each mapping (a
+    `dict` is not, a `types.MappingProxyType` is), and a second call must
     return the same object."""
     tables = dict(cached_tables())
-    assert {"cumulyap.cumulants._pair_table", "cumulyap.tensors.slot_replacements"} <= set(tables)
+    assert {
+        "cumulyap.cumulants._pair_table",
+        "cumulyap.tensors.slot_replacements",
+        "cumulyap.tensors._position_lookup",
+    } <= set(tables)
     for name, table in tables.items():
         first = table(3, 3)
         assert table(3, 3) is first, f"{name} is not shared"
@@ -68,8 +74,9 @@ def test_cached_tables_are_shared_and_read_only():
         writable = [
             i for i, part in enumerate(parts)
             if isinstance(part, np.ndarray) and part.flags.writeable
+            or isinstance(part, MutableMapping)
         ]
-        assert not writable, f"{name} returns writable arrays at {writable}"
+        assert not writable, f"{name} returns writable arrays or mappings at {writable}"
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -188,3 +195,19 @@ def test_library_reads_no_numpy_generator_internals():
         if name in path.read_text()
     ]
     assert not found, f"src/ reads numpy generator internals: {found}"
+
+
+def test_library_starts_no_thread_of_its_own():
+    # one parallel layer: forked children through sampling._fork_map
+    modules = ("threading", "concurrent.futures", "concurrent")
+    found = []
+    for path in sorted((REPO / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.relative_to(REPO)}: {name}" for name in names if name in modules]
+    assert not found, f"src/ imports a thread module: {found}"

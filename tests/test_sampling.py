@@ -1,8 +1,8 @@
 import os
 import signal
-import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from cumulyap.sampling import (
     study_drift_matrix,
     two_point_jumps,
 )
+from cumulyap.study import StudyConfig, run_study
 from cumulyap.tensors import SymmetricTensor
 from oracles import complex_eigen_sampler, single_pass_real_sampler, steady_state_jumps
 
@@ -403,54 +404,54 @@ def test_sampler_memory_stays_near_its_output(monkeypatch):
     assert peak < 6 * X.nbytes
 
 
-@pytest.mark.parametrize("cores", [1, 2, 3])
-def test_threaded_chunks_equal_single_pass_kernel(cores, monkeypatch):
-    # four chunks, the last one short; 1 core is the serial path, and 3
-    # threads switching every microsecond interleave far more than a real run
+def counted_forks(monkeypatch, cores):
+    """Give the package `cores` cores and return the list that gets one
+    entry per os.fork call made in this process."""
     monkeypatch.setattr(sampling, "_available_cores", lambda: cores)
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_forked_chunks_equal_single_pass_kernel(cores, monkeypatch):
+    # four chunks, the last one short; 1 core is the in-process path, and 3
+    # cores give the chunk shares [0], [1, 2] and [3]
+    forks = counted_forks(monkeypatch, cores)
     M, levy = study_drift_matrix(3, 10.0, 0.2), STUDY_LEVY_3
     n = 3 * CHUNK_DRAWS + 17
-    threads_before = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        X = sample_steady_state(M, levy, n, seed=48)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == threads_before
+    X = sample_steady_state(M, levy, n, seed=48)
+    assert len(forks) == (0 if cores == 1 else cores)
     assert np.array_equal(X, single_pass_real_sampler(M, levy, n, seed=48))
 
 
-def test_one_chunk_starts_no_thread(monkeypatch):
-    monkeypatch.setattr(sampling, "_available_cores", lambda: 3)
-    started = []
-    start = threading.Thread.start
-
-    def counted(thread):
-        started.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", counted)
+def test_one_chunk_forks_no_child(monkeypatch):
+    forks = counted_forks(monkeypatch, 3)
     M = study_drift_matrix(3, 10.0, 0.2)
     sample_steady_state(M, STUDY_LEVY_3, 8000, seed=49)
-    assert started == []
-    # two chunks on three cores: the caller and one helper
+    assert forks == []
+    # two chunks on three cores: one child per chunk
     sample_steady_state(M, STUDY_LEVY_3, CHUNK_DRAWS + 1, seed=49)
-    assert len(started) == 1
+    assert len(forks) == 2
 
 
-@pytest.mark.parametrize("cores", [1, 2, 3])
-def test_map_on_cores_returns_results_in_index_order(cores, monkeypatch):
-    monkeypatch.setattr(sampling, "_available_cores", lambda: cores)
-    threads_before = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        results = sampling._map_on_cores(lambda i: (i, sum(range(1000 * i))), 20)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == threads_before
-    assert results == [(i, sum(range(1000 * i))) for i in range(20)]
+def test_study_children_fork_the_sampler_chunks(monkeypatch):
+    # a size above CHUNK_DRAWS, so each replication's child forks again for
+    # the sampler's two chunks; the rows are those of one process
+    config = StudyConfig(sample_sizes=(200, CHUNK_DRAWS + 7), n_replications=3, seed=52)
+    rows = {}
+    for cores in (1, 3):
+        monkeypatch.setattr(sampling, "_available_cores", lambda: cores)
+        rows[cores] = [
+            {key: value for key, value in row.items() if key != "seconds"}
+            for row in run_study(config).rows
+        ]
+    assert rows[3] == rows[1]
 
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
@@ -510,6 +511,42 @@ def test_fork_map_child_without_results_is_a_runtime_error(task, monkeypatch):
     monkeypatch.setattr(sampling, "_available_cores", lambda: 2)
     with pytest.raises(RuntimeError, match="^a forked worker ended without its results$"):
         sampling._fork_map(lambda x: task(x) if x == 3 else x, range(4))
+    assert waited_for_every_child()
+
+
+def warning_fork(monkeypatch):
+    """Make os.fork warn in the parent after forking, as Python 3.12 and
+    later do when the process has more than one thread."""
+    fork = os.fork
+
+    def warns():
+        pid = fork()
+        if pid:
+            warnings.warn("multi-threaded, use of fork() may deadlock", DeprecationWarning, 2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warns)
+
+
+def test_fork_map_passes_on_a_fork_warning(monkeypatch):
+    monkeypatch.setattr(sampling, "_available_cores", lambda: 3)
+    warning_fork(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert sampling._fork_map(lambda x: x * x, range(5)) == [0, 1, 4, 9, 16]
+    assert [w.category for w in caught] == [DeprecationWarning] * 3
+    assert all("multi-threaded" in str(w.message) for w in caught)
+
+
+def test_fork_map_waits_for_a_child_whose_fork_warning_is_an_error(monkeypatch):
+    # the error is raised after the first fork, whose child must still be
+    # waited for (the autouse no_child_process_left fixture checks)
+    monkeypatch.setattr(sampling, "_available_cores", lambda: 3)
+    warning_fork(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        with pytest.raises(DeprecationWarning, match="multi-threaded"):
+            sampling._fork_map(lambda x: x, range(5))
     assert waited_for_every_child()
 
 
